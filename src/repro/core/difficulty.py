@@ -125,20 +125,16 @@ def difficulty_array(
     Raises :class:`~repro.exceptions.DataError` for ids with no estimate
     (e.g. asking the assignment estimator about a never-selected item) —
     silently imputing would mask exactly the weakness the paper discusses.
+    Each id is looked up in ``estimates`` directly, so the cost follows
+    the request, not the catalog.
     """
     item_ids = list(item_ids)
-    pos_of = {item_id: pos for pos, item_id in enumerate(estimates)}
-    indices = np.fromiter(
-        (pos_of.get(item_id, -1) for item_id in item_ids),
-        dtype=np.int64,
-        count=len(item_ids),
-    )
-    missing = np.flatnonzero(indices < 0)
-    if len(missing):
-        raise DataError(
-            f"no difficulty estimate for item {item_ids[int(missing[0])]!r}"
+    try:
+        return np.fromiter(
+            (estimates[item_id] for item_id in item_ids),
+            dtype=np.float64,
+            count=len(item_ids),
         )
-    values = np.fromiter(
-        estimates.values(), dtype=np.float64, count=len(estimates)
-    )
-    return values[indices]
+    except KeyError:
+        missing = next(item_id for item_id in item_ids if item_id not in estimates)
+        raise DataError(f"no difficulty estimate for item {missing!r}") from None

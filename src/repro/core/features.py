@@ -96,6 +96,10 @@ class EncodedItems:
     vocabularies:
         For each categorical feature, the category values in code order
         (``None`` for non-categorical features).
+
+    When the feature set includes the item-id feature, its vocabulary is
+    ``item_ids`` (checked at construction, :class:`SchemaError` otherwise),
+    so ``index_of`` is also the item → code map for ``P(item | s)``.
     """
 
     feature_set: "FeatureSet"
@@ -103,6 +107,16 @@ class EncodedItems:
     index_of: Mapping[Hashable, int]
     columns: tuple[np.ndarray, ...]
     vocabularies: tuple[tuple[Hashable, ...] | None, ...]
+
+    def __post_init__(self) -> None:
+        if ID_FEATURE not in self.feature_set.names:
+            return
+        vocab = self.vocabularies[self.feature_set.index_of_feature(ID_FEATURE)]
+        if vocab is None or tuple(vocab) != tuple(self.item_ids):
+            raise SchemaError(
+                f"feature {ID_FEATURE!r}: vocabulary must list the catalog's "
+                "item ids in row order"
+            )
 
     @property
     def num_items(self) -> int:

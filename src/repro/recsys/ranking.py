@@ -37,6 +37,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from repro.core.features import ID_FEATURE
 from repro.core.model import SkillModel
 from repro.data.splits import HeldOutAction
 from repro.exceptions import ConfigurationError, DataError
@@ -87,8 +88,10 @@ def predict_items(
     """
     if not held:
         raise DataError("no held-out actions to evaluate")
-    vocab = model.encoded.vocabulary("__item_id__")
-    code_of = {item_id: code for code, item_id in enumerate(vocab)}
+    # The item-id vocabulary is the catalog order (EncodedItems guarantees
+    # it), so ``index_of`` gives each item's code without a per-call table.
+    vocab = model.encoded.vocabulary(ID_FEATURE)
+    code_of = model.encoded.index_of
 
     levels = np.empty(len(held), dtype=np.int64)
     codes = np.empty(len(held), dtype=np.int64)

@@ -23,7 +23,8 @@ Determinism matters here: the serve layer asserts byte-identical
 responses between batched and sequential dispatch, and the bench asserts
 parity between in-process and prefork serving, so neighbour order must
 not depend on how the index was built.  Ties in cosine are broken by
-ascending item position (``np.lexsort``), never by partition order.
+ascending item position (:func:`~repro.recsys.topk.top_k`), never by
+partition order.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import numpy as np
 
 from repro.core.model import SkillModel
 from repro.exceptions import ConfigurationError, DataError
+from repro.recsys.topk import top_k
 
 __all__ = [
     "ItemSimilarityIndex",
@@ -179,9 +181,7 @@ def build_similarity_index(
         block[positions[start:stop] - start, positions[start:stop]] = -np.inf
         for offset in range(stop - start):
             row = block[offset]
-            # Deterministic top-k: primary key descending cosine, tie-break
-            # ascending item position (lexsort's last key is primary).
-            order = np.lexsort((positions, -row))[:k]
+            order = top_k(row, k)
             neighbors[start + offset] = order
             scores[start + offset] = row[order]
     # The self-similarity sentinel must never leak out as a score.

@@ -30,6 +30,7 @@ import numpy as np
 from repro.core.model import SkillModel
 from repro.data.actions import ActionLog
 from repro.exceptions import ConfigurationError, DataError
+from repro.recsys.topk import top_k
 
 __all__ = [
     "UpskillConfig",
@@ -172,8 +173,9 @@ class UpskillRecommender:
     ) -> list[Recommendation]:
         """Top-``k`` items for ``user`` at ``time`` (default: their latest).
 
-        ``log`` supplies the user's history for seen-item exclusion when
-        ``config.exclude_seen`` is set.
+        Items rank by score descending; exactly tied scores keep catalog
+        (vocabulary) order.  ``log`` supplies the user's history for
+        seen-item exclusion when ``config.exclude_seen`` is set.
         """
         if k < 1:
             raise ConfigurationError("k must be >= 1")
@@ -195,7 +197,8 @@ class UpskillRecommender:
 
         ``exclude`` replaces ``config.exclude_seen``'s log lookup with an
         explicit item-id set — over HTTP the server has no action log, so
-        clients ship the history they want excluded.  Identical math to
+        clients ship the history they want excluded; ids outside the
+        catalog are ignored.  Identical math to
         :meth:`recommend`; the two share one scoring path so offline and
         served recommendations can never drift.
         """
@@ -245,11 +248,13 @@ class UpskillRecommender:
         )
         score = base
         if exclude:
-            score = base.copy()
-            for pos, item in enumerate(self._items):
-                if item in exclude:
-                    score[pos] = -np.inf
-        order = np.argsort(-score)[:k]
+            # Touch only the excluded ids; ids outside the catalog are ignored.
+            index_of = self.model.encoded.index_of
+            rows = [index_of[item] for item in exclude if item in index_of]
+            if rows:
+                score = base.copy()
+                score[rows] = -np.inf
+        order = top_k(score, k)
         return [
             Recommendation(
                 item=self._items[pos],

@@ -1,5 +1,7 @@
 """Tests for repro.core.difficulty: all three estimators."""
 
+from collections.abc import Mapping
+
 import numpy as np
 import pytest
 from repro.core.difficulty import (
@@ -117,6 +119,38 @@ class TestDifficultyArray:
     def test_missing_estimate_raises(self):
         with pytest.raises(DataError):
             difficulty_array({"a": 1.0}, ["a", "b"])
+
+    def test_missing_estimate_names_first_offending_id(self):
+        with pytest.raises(DataError, match="^no difficulty estimate for item 'b'$"):
+            difficulty_array({"a": 1.0}, ["a", "b", "a", "c"])
+
+    def test_gathers_without_scanning_the_estimates(self, fitted_tiny_model):
+        """The gather looks ids up one by one: a mapping that refuses to
+        be iterated still answers, so the cost follows the request."""
+        estimates = generation_difficulty(fitted_tiny_model)
+        ids = ["i3", "i0", "i3", "i11"]
+        values = difficulty_array(_LookupOnly(estimates), ids)
+        assert values.tolist() == [estimates[item] for item in ids]
+        with pytest.raises(DataError, match="'ghost'"):
+            difficulty_array(_LookupOnly(estimates), ["i0", "ghost", "zz"])
+
+
+class _LookupOnly(Mapping):
+    """A mapping whose whole-catalog views all raise."""
+
+    def __init__(self, data):
+        self._data = data
+
+    def __getitem__(self, key):
+        return self._data[key]
+
+    def __len__(self):
+        return len(self._data)
+
+    def _scan(self, *args):
+        raise AssertionError("difficulty_array scanned the whole mapping")
+
+    __iter__ = keys = values = items = _scan
 
 
 @pytest.mark.parametrize("seed", range(12))

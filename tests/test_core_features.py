@@ -1,5 +1,7 @@
 """Tests for repro.core.features."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,26 @@ class TestEncoding:
         encoded = tiny_feature_set.with_id_feature().encode(tiny_catalog)
         vocab = encoded.vocabulary(ID_FEATURE)
         assert vocab == tiny_catalog.ids
+
+    def test_id_vocabulary_must_list_the_item_ids_in_row_order(self, tiny_catalog):
+        # A closed id vocabulary with an extra id would give item codes
+        # that disagree with catalog rows, so encoding refuses it.
+        spec = FeatureSpec(
+            ID_FEATURE, FeatureKind.CATEGORICAL, vocabulary=("ghost", *tiny_catalog.ids)
+        )
+        with pytest.raises(SchemaError):
+            FeatureSet([spec]).encode(tiny_catalog)
+
+    def test_id_vocabulary_checked_on_direct_construction(
+        self, tiny_catalog, tiny_feature_set
+    ):
+        encoded = tiny_feature_set.with_id_feature().encode(tiny_catalog)
+        vocabularies = list(encoded.vocabularies)
+        vocabularies[encoded.feature_set.index_of_feature(ID_FEATURE)] = tuple(
+            reversed(encoded.item_ids)
+        )
+        with pytest.raises(SchemaError):
+            dataclasses.replace(encoded, vocabularies=tuple(vocabularies))
 
     def test_rows_for(self, tiny_catalog, tiny_feature_set):
         encoded = tiny_feature_set.encode(tiny_catalog)

@@ -6,8 +6,14 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.serialize import load_model, save_model
-from repro.exceptions import DataError
+from repro.core import serialize
+from repro.core.serialize import (
+    attach_model_shm,
+    load_model,
+    publish_model_shm,
+    save_model,
+)
+from repro.exceptions import DataError, SchemaError
 
 
 def _restamp_checksum(json_path, npz_path):
@@ -19,6 +25,12 @@ def _restamp_checksum(json_path, npz_path):
     structure = json.loads(json_path.read_text())
     structure["checksums"]["npz"] = hashlib.sha256(npz_path.read_bytes()).hexdigest()
     json_path.write_text(json.dumps(structure))
+
+
+def _reverse_id_vocabulary(structure):
+    names = [entry["name"] for entry in structure["features"]]
+    position = names.index("__item_id__")
+    structure["vocabularies"][position] = structure["vocabularies"][position][::-1]
 
 
 class TestRoundTrip:
@@ -127,6 +139,31 @@ class TestFailureModes:
         json_path.write_text(json.dumps(structure))
         with pytest.raises(DataError, match=str(json_path)):
             load_model(tmp_path / "model")
+
+    def test_id_vocabulary_out_of_row_order_rejected(self, fitted_tiny_model, tmp_path):
+        json_path, _ = save_model(fitted_tiny_model, tmp_path / "model")
+        structure = json.loads(json_path.read_text())
+        _reverse_id_vocabulary(structure)
+        json_path.write_text(json.dumps(structure))
+        with pytest.raises(SchemaError):
+            load_model(tmp_path / "model")
+
+    def test_shm_attach_checks_id_vocabulary(self, fitted_tiny_model, monkeypatch):
+        real_payload = serialize._model_payload
+
+        def tampered_payload(model, **kwargs):
+            structure, arrays = real_payload(model, **kwargs)
+            _reverse_id_vocabulary(structure)
+            return structure, arrays
+
+        monkeypatch.setattr(serialize, "_model_payload", tampered_payload)
+        segment, descriptor = publish_model_shm(fitted_tiny_model)
+        try:
+            with pytest.raises(SchemaError):
+                attach_model_shm(descriptor)
+        finally:
+            segment.close()
+            segment.unlink()
 
     def test_missing_array(self, fitted_tiny_model, tmp_path):
         json_path, npz_path = save_model(fitted_tiny_model, tmp_path / "model")

@@ -1,5 +1,7 @@
 """Tests for repro.recsys.similarity (Kappa-style item similarity)."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from repro.core.serialize import (
 )
 from repro.exceptions import ConfigurationError, DataError
 from repro.recsys.similarity import (
+    _BLOCK_ROWS,
     ItemSimilarityIndex,
     build_similarity_index,
     similar_harder,
@@ -23,6 +26,46 @@ from repro.recsys.similarity import (
 @pytest.fixture
 def index(fitted_tiny_model):
     return build_similarity_index(fitted_tiny_model, k=5)
+
+
+def _reference_tables(model, k, prior="empirical"):
+    """The original per-row full-``lexsort`` build, kept as the oracle."""
+    prior_vector = model.empirical_skill_prior() if prior == "empirical" else None
+    profiles = model.posterior_skill_given_item(prior=prior_vector)
+    n = profiles.shape[0]
+    k = min(int(k), n - 1)
+    unit = profiles / np.maximum(np.linalg.norm(profiles, axis=1), 1e-300)[:, None]
+    neighbors = np.empty((n, k), dtype=np.int32)
+    scores = np.empty((n, k), dtype=np.float64)
+    positions = np.arange(n)
+    # Same row blocks as the build: a row's cosines may differ in the last
+    # bit with the shape of the product that computed them.
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
+        block = unit[start:stop] @ unit.T
+        block[positions[start:stop] - start, positions[start:stop]] = -np.inf
+        for offset in range(stop - start):
+            row = block[offset]
+            order = np.lexsort((positions, -row))[:k]
+            neighbors[start + offset] = order
+            scores[start + offset] = row[order]
+    scores[~np.isfinite(scores)] = 0.0
+    return neighbors, scores
+
+
+class _ProfileModel:
+    """Just enough of a SkillModel for the index build: fixed profiles."""
+
+    def __init__(self, profiles):
+        self._profiles = np.asarray(profiles, dtype=np.float64)
+        items = tuple(f"x{pos}" for pos in range(len(self._profiles)))
+        self.encoded = SimpleNamespace(vocabulary=lambda name: items)
+
+    def empirical_skill_prior(self):
+        return None
+
+    def posterior_skill_given_item(self, prior=None):
+        return self._profiles.copy()
 
 
 class TestBuild:
@@ -76,6 +119,58 @@ class TestBuild:
     def test_unknown_item_position(self, index):
         with pytest.raises(DataError):
             index.position("ghost")
+
+
+class TestReferenceParity:
+    """The partition-based build is bit-identical to the full-sort loop."""
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 11, 50])
+    @pytest.mark.parametrize("prior", ["empirical", "uniform"])
+    def test_fitted_model(self, fitted_tiny_model, k, prior):
+        built = build_similarity_index(fitted_tiny_model, k=k, prior=prior)
+        neighbors, scores = _reference_tables(fitted_tiny_model, k, prior)
+        assert np.array_equal(built.neighbors, neighbors)
+        assert np.array_equal(built.scores, scores)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("k", [1, 7, 20])
+    def test_tie_heavy_profiles(self, seed, k):
+        # Few distinct small-integer rows: duplicate profiles give exactly
+        # equal cosines, zero rows give all-zero ones, and 700 rows span
+        # two blocks of the blocked build.
+        rng = np.random.default_rng(seed)
+        profiles = rng.integers(0, 3, size=(700, 3)).astype(np.float64)
+        profiles[rng.integers(0, 700, size=5)] = 0.0
+        model = _ProfileModel(profiles)
+        built = build_similarity_index(model, k=k)
+        neighbors, scores = _reference_tables(model, k)
+        assert np.array_equal(built.neighbors, neighbors)
+        assert np.array_equal(built.scores, scores)
+
+    def test_artifact_with_reference_index_answers_unchanged(
+        self, fitted_tiny_model, tmp_path
+    ):
+        """An artifact whose index came from the full-sort build loads and
+        answers ``similar_harder`` exactly like a freshly built index."""
+        neighbors, scores = _reference_tables(fitted_tiny_model, 5)
+        fresh = build_similarity_index(fitted_tiny_model, k=5)
+        prefix = tmp_path / "legacy"
+        save_model(
+            fitted_tiny_model,
+            prefix,
+            similarity={"neighbors": neighbors, "scores": scores, "meta": fresh.meta},
+        )
+        model = load_model(prefix)
+        stored = ItemSimilarityIndex.from_payload(
+            load_similarity_payload(prefix), model.encoded.vocabulary("__item_id__")
+        )
+        mapping = generation_difficulty(model, prior="empirical")
+        difficulty = np.asarray([mapping[item] for item in stored.items])
+        for anchor in stored.items:
+            for margin in (0.0, 0.2):
+                assert similar_harder(
+                    stored, difficulty, anchor, k=5, margin=margin
+                ) == similar_harder(fresh, difficulty, anchor, k=5, margin=margin)
 
 
 class TestPayloadRoundTrip:

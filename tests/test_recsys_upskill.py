@@ -178,6 +178,56 @@ class TestEdgeCases:
         ]
         assert batched == singles
 
+    @pytest.mark.parametrize(
+        "exclude",
+        [
+            ["ghost", "i4", 17],  # unknown ids are ignored
+            ["i2", "i2", "i7", "i2"],  # duplicates count once
+            "all",  # the whole catalog, plus an unknown id
+            [],
+        ],
+    )
+    @pytest.mark.parametrize("k", [1, 4, 30])
+    def test_exclusion_matches_full_scan_reference(self, recommender, exclude, k):
+        if exclude == "all":
+            exclude = [*recommender.items, "ghost"]
+        for level in (1, 2, 3):
+            got = recommender.recommend_for_level(level, k=k, exclude=exclude)
+            assert got == _reference_recommend(recommender, level, k, exclude)
+
+    def test_tied_scores_follow_catalog_position(self, fitted_tiny_model):
+        """Exactly tied scores are ordered by catalog position."""
+        vocab = fitted_tiny_model.encoded.vocabulary("__item_id__")
+        rec = UpskillRecommender(
+            fitted_tiny_model,
+            {item: 2.0 for item in vocab},
+            UpskillConfig(interest_weight=0.0, exclude_seen=False),
+        )
+        recs = rec.recommend_for_level(2, k=5, exclude=frozenset({vocab[1]}))
+        assert [r.item for r in recs] == [vocab[0], *vocab[2:6]]
+        assert len({r.score for r in recs}) == 1
+
     def test_batch_k_validation(self, recommender):
         with pytest.raises(ConfigurationError):
             recommender.recommend_batch([RecommendQuery(level=1, k=0)])
+
+
+def _reference_recommend(recommender, level, k, exclude):
+    """Full-catalog scan and full sort: the simplest correct answer."""
+    interest, challenge, base = recommender.score_components(level)
+    score = base.copy()
+    for pos, item in enumerate(recommender.items):
+        if item in exclude:
+            score[pos] = -np.inf
+    order = np.lexsort((np.arange(len(score)), -score))[:k]
+    return [
+        Recommendation(
+            item=recommender.items[pos],
+            score=float(score[pos]),
+            difficulty=float(recommender.difficulty_vector[pos]),
+            challenge_fit=float(challenge[pos]),
+            interest=float(interest[pos]),
+        )
+        for pos in order
+        if np.isfinite(score[pos])
+    ]
