@@ -307,8 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-wait-ms",
         type=float,
         default=2.0,
-        help="batching window: flush at most this long after the first "
-        "queued request (0 = flush immediately)",
+        help="upper bound on batching delay: a batch flushes as soon as the "
+        "event loop has no more ready requests, and at most this long after "
+        "its first request (0 = flush without yielding)",
     )
     serve_parser.add_argument(
         "--max-queue",

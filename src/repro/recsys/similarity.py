@@ -46,9 +46,11 @@ __all__ = [
 ]
 
 #: Rows of the profile matrix are processed in blocks of this many items,
-#: bounding the transient ``block x n`` cosine slab (a 50k-item catalog
-#: never materialises the full 20GB ``n x n`` matrix).
-_BLOCK_ROWS = 512
+#: bounding the ``block x n`` cosine slab (a 50k-item catalog never
+#: materialises the full 20GB ``n x n`` matrix).  One slab is allocated
+#: per build and reused by every block, so a build costs one small buffer,
+#: not a fresh one per block left behind in the building thread's arena.
+_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -175,9 +177,10 @@ def build_similarity_index(
     neighbors = np.empty((n, k), dtype=np.int32)
     scores = np.empty((n, k), dtype=np.float64)
     positions = np.arange(n)
+    slab = np.empty((min(_BLOCK_ROWS, n), n), dtype=np.float64)
     for start in range(0, n, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n)
-        block = unit[start:stop] @ unit.T  # (block, n)
+        block = np.matmul(unit[start:stop], unit.T, out=slab[: stop - start])
         block[positions[start:stop] - start, positions[start:stop]] = -np.inf
         for offset in range(stop - start):
             row = block[offset]

@@ -8,8 +8,19 @@ per distinct level answers every /recommend query at it).  A server
 answering each request with its own kernel call throws that sharing
 away.  :class:`MicroBatcher` buys it back: requests queue on
 an asyncio future, and a flusher drains the queue into one batched call
-whenever ``max_batch`` requests have accumulated or ``max_wait_ms`` has
-elapsed since the first queued request — whichever comes first.
+as soon as the event loop goes idle — group commit, not a timer.  After
+the first queued request the flusher yields to the loop
+(``asyncio.sleep(0)``) and flushes once any of these holds:
+
+- a yield added no new request (everything parsed in the same tick has
+  been queued, so the batch is as large as waiting for free can make it);
+- ``max_batch`` requests have accumulated;
+- ``max_wait_ms`` has elapsed since the first queued request — an upper
+  bound on the coalescing delay under a steady trickle, never a linger.
+
+A lone request therefore pays one or two loop ticks, not a window.
+Requests that arrive while a flush runs queue for the next one, so under
+load batches still form behind every flush.
 
 Batching is a pure throughput/latency concern, never a semantic one: the
 batch function receives the payloads in arrival order and must return one
@@ -87,8 +98,9 @@ class MicroBatcher:
         # The third slot is Tracer.snapshot()'s (trace, span, wall, mono)
         # tuple (or None when tracing is off).
         self._pending: list[tuple[Any, asyncio.Future, tuple | None]] = []
+        # Loop time the oldest queued request started waiting.
+        self._head_since = 0.0
         self._wake: asyncio.Event | None = None
-        self._full: asyncio.Event | None = None
         self._task: asyncio.Task | None = None
         self._closed = False
 
@@ -97,7 +109,6 @@ class MicroBatcher:
         if self._task is not None:
             raise ConfigurationError(f"batcher {self.name!r} already started")
         self._wake = asyncio.Event()
-        self._full = asyncio.Event()
         self._task = asyncio.create_task(self._run(), name=f"batcher-{self.name}")
 
     async def stop(self) -> None:
@@ -114,12 +125,13 @@ class MicroBatcher:
         """Queue ``payload`` and await its result from the next flush."""
         if self._closed or self._task is None:
             raise ConfigurationError(f"batcher {self.name!r} is not running")
-        assert self._wake is not None and self._full is not None
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
+        assert self._wake is not None
+        loop = asyncio.get_running_loop()
+        future: asyncio.Future = loop.create_future()
+        if not self._pending:
+            self._head_since = loop.time()
         self._pending.append((payload, future, get_tracer().snapshot()))
         self._wake.set()
-        if len(self._pending) >= self.max_batch:
-            self._full.set()
         return await future
 
     @property
@@ -127,7 +139,8 @@ class MicroBatcher:
         return len(self._pending)
 
     async def _run(self) -> None:
-        assert self._wake is not None and self._full is not None
+        assert self._wake is not None
+        loop = asyncio.get_running_loop()
         while True:
             await self._wake.wait()
             if not self._pending:
@@ -135,23 +148,24 @@ class MicroBatcher:
                     return
                 self._wake.clear()
                 continue
-            # Linger for the rest of the coalescing window unless the
-            # batch is already full (or we are draining at shutdown).
-            if (
+            # Group commit: keep yielding while each tick queues more
+            # requests; flush once a tick adds none, the batch fills, or
+            # the oldest request has waited max_wait_ms.
+            deadline = self._head_since + self.max_wait_seconds
+            while (
                 len(self._pending) < self.max_batch
-                and self.max_wait_seconds > 0
                 and not self._closed
+                and loop.time() < deadline
             ):
-                try:
-                    await asyncio.wait_for(self._full.wait(), self.max_wait_seconds)
-                except (TimeoutError, asyncio.TimeoutError):
-                    pass
-            self._full.clear()
+                queued = len(self._pending)
+                await asyncio.sleep(0)
+                if len(self._pending) == queued:
+                    break
             batch = self._pending[: self.max_batch]
             del self._pending[: len(batch)]
-            if len(self._pending) >= self.max_batch:
-                self._full.set()
-            if not self._pending and not self._closed:
+            if self._pending:
+                self._head_since = loop.time()
+            elif not self._closed:
                 self._wake.clear()
             await self._flush(batch)
 

@@ -330,11 +330,12 @@ class SkillServer:
         self.registry.close()
 
     async def _watch(self) -> None:
-        """Poll every resident tenant and hot-swap models as they change."""
+        """Poll every resident tenant and hot-swap models as they change;
+        the new bundles build in a worker thread, off the event loop."""
         while True:
             await asyncio.sleep(self.state.poll_seconds)
             try:
-                swapped = self.registry.maybe_reload_all()
+                swapped = await self.registry.maybe_reload_all()
             except Exception:  # the watcher must outlive any reload bug
                 _log.exception("model watch iteration failed")
                 continue

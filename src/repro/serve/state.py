@@ -23,6 +23,15 @@ writer and checksumming reader (:mod:`repro.core.serialize`):
    signature to change again — which the completing writer's final
    ``os.replace`` guarantees it will.
 
+A server runs the cycle as a :class:`ReloadAttempt`: the watch and the
+swap run on the event loop, the build in a worker thread, so reads never
+queue behind a model load.  The swap lands only if the bundle the
+attempt was built against still serves; a tenant unloaded, evicted or
+swapped in the meantime drops the new bundle (``serve.reload_dropped``).
+When the outgoing bundle had built its similarity index, the build also
+builds the new bundle's, so ``similar_harder`` stays warm across swaps
+while a deployment that never asks for it never pays the quadratic build.
+
 Each bundle precomputes what the endpoints gather from: the difficulty
 estimates for both priors (so ``/difficulty`` is a pure
 :func:`~repro.core.difficulty.difficulty_array` gather) and the artifact
@@ -33,6 +42,7 @@ running server actually loaded.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
 import time
@@ -62,6 +72,7 @@ __all__ = [
     "DEFAULT_TENANT",
     "ManifestModelState",
     "ModelState",
+    "ReloadAttempt",
     "ServingModel",
     "TenantRegistry",
     "TenantSpec",
@@ -113,7 +124,8 @@ class ServingModel:
     The recommendation surface hangs off the bundle too: ``similarity``
     holds the item-similarity index (zero-copy shm views in prefork
     workers, artifact arrays otherwise, built in-process on first use as
-    a last resort) and ``recommender()`` memoizes one
+    a last resort, or by the reload that replaced a bundle which had
+    one) and ``recommender()`` memoizes one
     :class:`~repro.recsys.upskill.UpskillRecommender` per serve
     configuration.  Both caches die with the bundle on hot-swap or LRU
     eviction, so a reloaded tenant can never serve recommendations from
@@ -226,6 +238,48 @@ def _build_bundle(prefix: Path, version: int) -> ServingModel:
     )
 
 
+class ReloadAttempt:
+    """One poll's reload, carried from the check through the build to the swap.
+
+    :meth:`ModelState.begin_reload` creates it on the event loop; ``due``
+    says whether the artifact changed and a build should run.
+    :meth:`build` reads only the artifact and the base bundle, so it may
+    run in a worker thread; :meth:`ModelState.maybe_reload` then commits
+    it back on the loop.
+    """
+
+    __slots__ = ("state", "base", "signature", "bundle", "error")
+
+    def __init__(
+        self, state: ModelState, base: ServingModel, signature: _Signature | None
+    ) -> None:
+        self.state = state
+        self.base = base
+        self.signature = signature
+        self.bundle: ServingModel | None = None
+        self.error: Exception | None = None
+
+    @property
+    def due(self) -> bool:
+        return self.signature is not None
+
+    def build(self) -> None:
+        """Build the next bundle, keeping the similarity index warm.
+
+        A typed load failure is kept for the swap step to count; any other
+        exception propagates to the caller.
+        """
+        if self.signature is None:
+            return
+        try:
+            self.bundle = self.state._build(self.base.version + 1)
+        except (ReproError, OSError) as exc:
+            self.error = exc
+            return
+        if self.base.similarity is not None:
+            self.bundle.similarity_index()
+
+
 class ModelState:
     """The current model plus the machinery to refresh it from disk.
 
@@ -304,6 +358,9 @@ class ModelState:
     def close(self) -> None:
         self.unload()
 
+    def _installed(self, bundle: ServingModel) -> None:
+        """Hook: ``bundle`` just became the serving bundle."""
+
     def load(self) -> ServingModel:
         """Initial load; raises :class:`~repro.exceptions.DataError` when
         the artifact pair is missing or invalid."""
@@ -312,6 +369,7 @@ class ModelState:
         self._signature = self._stat_signature()
         bundle = self._build(version=1)
         self._current = bundle
+        self._installed(bundle)
         _log.info(
             "model loaded for serving",
             extra={
@@ -325,30 +383,56 @@ class ModelState:
         )
         return bundle
 
-    def maybe_reload(self) -> bool:
+    def begin_reload(self) -> ReloadAttempt:
+        """Decide whether this poll reloads; cheap, runs on the loop.
+
+        The attempt is due when the artifact's signature moved, is not the
+        pair that already failed validation, and the failure backoff has
+        expired.
+        """
+        if self._current is None:
+            raise DataError("maybe_reload() before load()")
+        signature = self._stat_signature()
+        if (
+            signature is None
+            or signature == self._signature
+            # This exact broken pair already failed validation; wait for
+            # the writer's final os.replace to move the signature again.
+            or signature == self._failed_signature
+        ):
+            signature = None
+        elif self.clock() < self._retry_at:
+            # Inside the failure backoff window: don't pay a fresh
+            # load-and-checksum for every poll against a flapping writer.
+            get_registry().counter("serve.reload_retry").inc()
+            signature = None
+        return ReloadAttempt(self, self._current, signature)
+
+    def maybe_reload(self, attempt: ReloadAttempt | None = None) -> bool:
         """Swap in a newly written artifact pair; returns True on a swap.
+
+        Without ``attempt`` the whole cycle runs inline.  A server passes
+        the attempt it began here and built off the event loop; the swap
+        then lands only if the bundle it was built against still serves,
+        and a stale attempt's bundle is closed instead.
 
         The previous model keeps serving through every failure mode: a
         half-committed pair (checksum mismatch), a vanished file, or a
         malformed artifact only increments ``serve.reload_failures``.
         """
-        if self._current is None:
-            raise DataError("maybe_reload() before load()")
-        signature = self._stat_signature()
-        if signature is None or signature == self._signature:
+        if attempt is None:
+            attempt = self.begin_reload()
+            attempt.build()
+        if not attempt.due:
             return False
-        if signature == self._failed_signature:
-            # This exact broken pair already failed validation; wait for
-            # the writer's final os.replace to move the signature again.
+        if attempt.base is not self._current:
+            # Unloaded, evicted or swapped while the bundle was building.
+            if attempt.bundle is not None:
+                attempt.bundle.close()
+            get_registry().counter("serve.reload_dropped").inc()
             return False
-        if self.clock() < self._retry_at:
-            # Inside the failure backoff window: don't pay a fresh
-            # load-and-checksum for every poll against a flapping writer.
-            get_registry().counter("serve.reload_retry").inc()
-            return False
-        try:
-            bundle = self._build(version=self._current.version + 1)
-        except (ReproError, OSError) as exc:
+        signature = attempt.signature
+        if attempt.error is not None:
             self.reload_failures += 1
             self._failed_signature = signature
             self._failures += 1
@@ -364,16 +448,19 @@ class ModelState:
                     "obs": {
                         "prefix": str(self.prefix),
                         "serving_version": self._current.version,
-                        "error": str(exc),
+                        "error": str(attempt.error),
                     }
                 },
             )
             return False
+        bundle = attempt.bundle
+        assert bundle is not None
         self._signature = signature
         self._failed_signature = None
         self._failures = 0
         self._retry_at = 0.0
         self._current = bundle  # the atomic swap: one attribute assignment
+        self._installed(bundle)
         self.reloads += 1
         get_registry().counter("serve.reloads").inc()
         tracer = get_tracer()
@@ -431,8 +518,8 @@ class ManifestModelState(ModelState):
     ``version`` always equals the manifest generation, so every worker
     reports the same version for the same physical segment — the parity
     discipline the cross-worker tests pin.  ``observed_generation``
-    records the newest generation this process successfully attached
-    (even if the bundle was later evicted); the worker publishes it as
+    records the newest generation this process has served (even if the
+    bundle was later evicted); the worker publishes it as
     its ack, and the parent unlinks an old generation only once every
     live worker acks a newer one.
     """
@@ -448,6 +535,9 @@ class ManifestModelState(ModelState):
         except OSError:
             return None
         return ((stat.st_mtime_ns, stat.st_size), (0, 0))
+
+    def _installed(self, bundle: ServingModel) -> None:
+        self.observed_generation = max(self.observed_generation, bundle.version)
 
     def _build(self, version: int) -> ServingModel:
         try:
@@ -480,7 +570,6 @@ class ManifestModelState(ModelState):
             if payload is not None
             else None
         )
-        self.observed_generation = max(self.observed_generation, generation)
         return ServingModel(
             model,
             metadata,
@@ -681,16 +770,21 @@ class TenantRegistry:
 
     # ----------------------------------------------------------- reloads
 
-    def maybe_reload_all(self) -> int:
-        """Poll every resident tenant for a new artifact; returns swap
-        count.  Failures (expected or not) are isolated per tenant."""
+    async def maybe_reload_all(self) -> int:
+        """Poll every resident tenant for a new artifact; returns the swap
+        count.  Each due bundle builds in a worker thread while the loop
+        keeps serving; the checks, the swaps and the gauges run on the
+        loop.  Failures (expected or not) are isolated per tenant."""
         swapped = 0
+        # A snapshot: requests may reorder or evict tenants during a build.
         for name, state in list(self._states.items()):
             if not state.loaded:
                 continue
             try:
-                if state.maybe_reload():
-                    swapped += 1
+                attempt = state.begin_reload()
+                if attempt.due:
+                    await asyncio.to_thread(attempt.build)
+                swapped += state.maybe_reload(attempt)
             except Exception as exc:  # noqa: BLE001 - tenant isolation fence
                 _log.warning(
                     "tenant reload raised; tenant keeps previous model",

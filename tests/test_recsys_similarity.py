@@ -147,6 +147,19 @@ class TestReferenceParity:
         assert np.array_equal(built.neighbors, neighbors)
         assert np.array_equal(built.scores, scores)
 
+    @pytest.mark.parametrize("n", [50, 129, 700])
+    @pytest.mark.parametrize("k", [1, 20])
+    def test_partial_last_block(self, n, k):
+        # Sizes off the block grid: the reused slab's last block is a
+        # partial one (129 = 2 x 64 + 1, 700 = 10 x 64 + 60) or the only one.
+        assert n % _BLOCK_ROWS
+        profiles = np.random.default_rng(n).dirichlet(np.ones(4), size=n)
+        model = _ProfileModel(profiles)
+        built = build_similarity_index(model, k=k)
+        neighbors, scores = _reference_tables(model, k)
+        assert np.array_equal(built.neighbors, neighbors)
+        assert np.array_equal(built.scores, scores)
+
     def test_artifact_with_reference_index_answers_unchanged(
         self, fitted_tiny_model, tmp_path
     ):

@@ -13,8 +13,13 @@ The tenant registry's contract has three load-bearing pieces:
 
 from __future__ import annotations
 
+import asyncio
 import http.client
 import json
+import os
+import sys
+import threading
+import time
 
 import pytest
 
@@ -35,6 +40,7 @@ from repro.serve import (
     TenantRegistry,
     TenantSpec,
 )
+from repro.serve.state import ServingModel
 
 
 def _request(host, port, method, path, body=None):
@@ -189,14 +195,159 @@ class TestTenantRegistry:
             # land a legitimate new artifact for the default tenant.
             beta.with_suffix(".npz").write_bytes(b"garbage")
             save_model(fitted_tiny_model, alpha)
-            assert registry.maybe_reload_all() == 1
+            assert asyncio.run(registry.maybe_reload_all()) == 1
             assert registry.get("default").version == 2
             assert registry.state("beta").reload_failures == 1
             assert registry.get("beta").version == 1  # old model still serves
             # A second healthy swap goes through while beta is backed off.
             save_model(fitted_tiny_model, alpha)
-            assert registry.maybe_reload_all() == 1
+            assert asyncio.run(registry.maybe_reload_all()) == 1
             assert registry.get("default").version == 3
+
+
+class TestOffLoopReload:
+    def test_tenant_evicted_while_its_bundle_builds_is_not_brought_back(
+        self, two_tenant_prefixes, second_model, monkeypatch
+    ):
+        """The reload thread's bundle is dropped when its tenant was evicted
+        on the loop mid-build, and the budget counts only what serves."""
+        alpha, beta = two_tenant_prefixes
+        building, release = threading.Event(), threading.Event()
+        built: list[ServingModel] = []
+        closed: list[ServingModel] = []
+        original_build = ModelState._build
+        original_close = ServingModel.close
+
+        def gated_build(state, version):
+            if version == 1:
+                return original_build(state, version)
+            building.set()
+            release.wait(10.0)
+            built.append(original_build(state, version))
+            return built[-1]
+
+        def spy_close(bundle):
+            closed.append(bundle)
+            original_close(bundle)
+
+        monkeypatch.setattr(ModelState, "_build", gated_build)
+        monkeypatch.setattr(ServingModel, "close", spy_close)
+
+        async def scenario(registry):
+            reload = asyncio.create_task(registry.maybe_reload_all())
+            while not building.is_set():
+                await asyncio.sleep(0.005)
+            registry.get("beta")  # evicts the default tenant mid-build
+            release.set()
+            return await reload
+
+        with use_registry(MetricsRegistry()) as metrics:
+            registry = TenantRegistry(
+                [
+                    TenantSpec("default", prefix=alpha),
+                    TenantSpec("beta", prefix=beta),
+                ],
+                residency_budget_bytes=1,  # room for one tenant at a time
+            )
+            evicted = registry.get("default")
+            save_model(second_model, alpha)
+            stat = alpha.with_suffix(".json").stat()
+            os.utime(
+                alpha.with_suffix(".json"),
+                ns=(stat.st_atime_ns, stat.st_mtime_ns + 1_000_000),
+            )
+            assert asyncio.run(scenario(registry)) == 0
+            assert registry.loaded_names() == ["beta"]
+            assert closed == [evicted, built[0]]
+            beta_bytes = registry.state("beta").current.resident_bytes
+            assert registry.resident_bytes() == beta_bytes
+            snapshot = metrics.snapshot()
+            assert snapshot["gauges"]["serve.tenant.resident_bytes"] == beta_bytes
+            assert snapshot["gauges"]["serve.tenant.default.resident_bytes"] == 0.0
+            assert snapshot["counters"]["serve.reload_dropped"] == 1
+            # The evicted tenant reloads on demand, from the new artifact.
+            assert registry.get("default").model.num_levels == 2
+            registry.close()
+
+
+    def test_reload_churn_under_eviction_never_serves_a_closed_bundle(
+        self, two_tenant_prefixes, fitted_tiny_model, second_model, monkeypatch
+    ):
+        """Stress: rewrites, off-loop reloads and evicting reads interleave
+        with a tiny thread switch interval; the registry only ever holds
+        one open bundle per loaded tenant, within its one-tenant budget."""
+        alpha, beta = two_tenant_prefixes
+        closed: list[ServingModel] = []
+        original_close = ServingModel.close
+
+        def spy_close(bundle):
+            closed.append(bundle)
+            original_close(bundle)
+
+        monkeypatch.setattr(ServingModel, "close", spy_close)
+        registry = TenantRegistry(
+            [TenantSpec("default", prefix=alpha), TenantSpec("beta", prefix=beta)],
+            residency_budget_bytes=1,
+            retry_base_seconds=0.0,
+        )
+        problems: list[str] = []
+
+        def check() -> None:
+            loaded = registry.loaded_names()
+            if len(loaded) != 1:
+                problems.append(f"loaded {loaded}")
+            for name in loaded:
+                current = registry.state(name).current
+                if any(bundle is current for bundle in closed):
+                    problems.append(f"{name} serves a closed bundle")
+                if registry.resident_bytes() != current.resident_bytes:
+                    problems.append("resident bytes out of step")
+
+        async def scenario() -> int:
+            # At least 1.5 s of churn and one landed swap, at most 20 s.
+            started = time.monotonic()
+            swaps = 0
+
+            def churning() -> bool:
+                elapsed = time.monotonic() - started
+                return elapsed < 1.5 or (swaps == 0 and elapsed < 20.0)
+
+            async def reads():
+                turn = 0
+                while churning():
+                    try:
+                        registry.get(("default", "beta")[(turn // 10) % 2])
+                    except DataError:
+                        pass  # caught a pair between its two os.replace calls
+                    check()
+                    turn += 1
+                    await asyncio.sleep(0.001)
+
+            async def writes():
+                nonlocal swaps
+                turn = 0
+                while churning():
+                    model = (second_model, fitted_tiny_model)[turn % 2]
+                    for prefix in (alpha, beta):
+                        await asyncio.to_thread(save_model, model, prefix)
+                    swaps += await registry.maybe_reload_all()
+                    turn += 1
+
+            await asyncio.gather(reads(), writes())
+            return swaps
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with use_registry(MetricsRegistry()):
+                registry.get("default")
+                swaps = asyncio.run(scenario())
+                check()
+        finally:
+            sys.setswitchinterval(interval)
+            registry.close()
+        assert problems == []
+        assert swaps > 0
 
 
 # ---------------------------------------------------------------- routing

@@ -10,7 +10,7 @@ same in-process
 
 - **sequential** — ``max_batch=1``: every request takes its own
   ``predict_items`` / ``difficulty_array`` kernel call, through the same
-  batcher code path (the coalescing window degenerates to size-1 flushes);
+  batcher code path (every flush is size 1);
 - **batched** — ``max_batch=64``, ``max_wait_ms=2``: concurrent requests
   coalesce into shared kernel calls.
 
