@@ -15,7 +15,7 @@ from repro.core.distributions import Categorical, Gamma, LogNormal, Poisson
 from repro.core.dp import PathResult, best_monotone_path, path_log_likelihood
 from repro.core.dp_batch import batch_assign, batch_viterbi
 from repro.core.model import ScoreTableCache, SkillModel, SkillParameters, TrainingTrace
-from repro.core.engine import ASSIGNMENT_STRATEGIES, AssignmentEngine
+from repro.core.engine import AssignmentEngine
 from repro.core.parallel import (
     ParallelConfig,
     PoolAssigner,
@@ -37,12 +37,7 @@ from repro.core.training import (
     resume_fit,
     uniform_segment_levels,
 )
-from repro.core.shard import (
-    SHARD_STAGES,
-    ShardedFitResult,
-    ShardedTrainer,
-    ShardPool,
-)
+from repro.core.shard import ShardedFitResult, ShardPool
 from repro.core.baselines import fit_id_baseline, fit_uniform_baseline, id_feature_set
 from repro.core.difficulty import (
     PRIOR_EMPIRICAL,
@@ -77,7 +72,6 @@ __all__ = [
     "path_log_likelihood",
     "batch_assign",
     "batch_viterbi",
-    "ASSIGNMENT_STRATEGIES",
     "AssignmentEngine",
     "ScoreTableCache",
     "SkillModel",
@@ -89,9 +83,7 @@ __all__ = [
     "WorkerPoolWarning",
     "assign_paths",
     "make_cell_fitter",
-    "SHARD_STAGES",
     "ShardedFitResult",
-    "ShardedTrainer",
     "ShardPool",
     "CheckpointConfig",
     "TrainingCheckpoint",

@@ -1,32 +1,28 @@
 """Assignment engine: one front door for the assignment step.
 
-Three implementations of "best monotone path for every user" coexist:
+"Best monotone path for every user" runs on one kernel,
+:func:`~repro.core.dp_batch.batch_assign` — the vectorized multi-user
+DP, bit-identical per user to :func:`~repro.core.dp.best_monotone_path`
+(kept as the test oracle).  It runs in-process, or on
+:class:`~repro.core.parallel.PoolAssigner` workers over a shared-memory
+score table when :class:`~repro.core.parallel.ParallelConfig` enables
+user parallelism (the Table XIII experiments).  The route only moves
+wall-clock, never results.
 
-- **serial** — :func:`~repro.core.dp.best_monotone_path` per user; lowest
-  constant factor, wins on small batches;
-- **batched** — :func:`~repro.core.dp_batch.batch_assign`, the vectorized
-  multi-user kernel; wins once there are enough users to amortize padding
-  and NumPy dispatch (~1.4× at 50 users, ~4× at 500, ~7× at 5000);
-- **pooled** — :class:`~repro.core.parallel.PoolAssigner`, process-pool
-  workers running the batched kernel over a shared-memory score table;
-  wins when :class:`~repro.core.parallel.ParallelConfig` enables user
-  parallelism and the workload is large enough to pay for pickling.
-
-:class:`AssignmentEngine` picks between them per call (``"auto"``) or as
-forced by configuration, owns the :class:`~repro.core.model.ScoreTableCache`
-that makes score-table rebuilds incremental across training iterations,
-and surfaces the pool's recovery events so trainer telemetry keeps
-working unchanged.  All three strategies produce bit-identical results —
-the choice only moves wall-clock.
+:class:`AssignmentEngine` also owns the
+:class:`~repro.core.model.ScoreTableCache` that makes score-table
+rebuilds incremental across training iterations, and surfaces the pool's
+recovery events so trainer telemetry keeps working unchanged.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
+from contextlib import contextmanager
 
 import numpy as np
 
-from repro.core.dp import PathResult, best_monotone_path
+from repro.core.dp import PathResult
 from repro.core.dp_batch import BatchPlan, batch_assign, batch_assign_flat, prepare_batch
 from repro.core.model import ScoreTableCache, SkillParameters
 from repro.core.parallel import ParallelConfig, PoolAssigner
@@ -34,19 +30,11 @@ from repro.exceptions import ConfigurationError
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
 
-__all__ = ["ASSIGNMENT_STRATEGIES", "AssignmentEngine"]
-
-#: Valid values for ``strategy`` / ``TrainerConfig.assignment_strategy``.
-ASSIGNMENT_STRATEGIES = ("auto", "serial", "batched", "pooled")
-
-#: Below this many users the batched kernel's padding/stacking overhead
-#: outweighs its vectorization win (measured ~0.3× at 3 users, break-even
-#: in the low tens); ``"auto"`` stays serial under it.
-_BATCH_MIN_USERS = 16
+__all__ = ["AssignmentEngine"]
 
 
 class AssignmentEngine:
-    """Strategy-selecting assignment step with an incremental table cache.
+    """The assignment step with an incremental table cache.
 
     Use as a context manager, like the pool it wraps::
 
@@ -54,28 +42,15 @@ class AssignmentEngine:
             for _ in range(iterations):
                 table = engine.score_table(parameters, encoded)
                 paths = engine.assign(table, user_rows)
-
-    ``strategy`` is one of :data:`ASSIGNMENT_STRATEGIES`.  ``"auto"``
-    (default) picks per call: pooled when the parallel configuration
-    enables user parallelism, batched for large single-process batches,
-    serial for small ones.  Forcing ``"pooled"`` without an enabling
-    parallel configuration degrades to the pool's own serial path.
     """
 
     def __init__(
         self,
         parallel: ParallelConfig | None = None,
         *,
-        strategy: str = "auto",
         max_step: int = 1,
         step_log_penalties: np.ndarray | None = None,
     ):
-        if strategy not in ASSIGNMENT_STRATEGIES:
-            raise ConfigurationError(
-                f"unknown assignment strategy {strategy!r}; "
-                f"expected one of {ASSIGNMENT_STRATEGIES}"
-            )
-        self.strategy = strategy
         self.max_step = max_step
         self.step_log_penalties = (
             None
@@ -102,6 +77,11 @@ class AssignmentEngine:
         """The wrapped pool's recovery-event counts (telemetry passthrough)."""
         return self._pool.event_counts
 
+    @property
+    def pooled(self) -> bool:
+        """Whether assignment fans out to :class:`PoolAssigner` workers."""
+        return self._pool.parallel_enabled
+
     def score_table(self, parameters: SkillParameters, encoded) -> np.ndarray:
         """``log P(i | s)`` via the engine's incremental row cache.
 
@@ -112,50 +92,31 @@ class AssignmentEngine:
         with get_tracer().span("engine.score_table"):
             return parameters.item_score_table(encoded, cache=self.cache)
 
-    def resolve_strategy(self, num_users: int) -> str:
-        """The concrete strategy ``assign`` will use for this many users."""
-        if self.strategy != "auto":
-            return self.strategy
-        if self._pool.parallel_enabled and num_users > 1:
-            return "pooled"
-        if num_users >= _BATCH_MIN_USERS:
-            return "batched"
-        return "serial"
-
     def assign(
         self, score_table: np.ndarray, user_rows: Sequence[np.ndarray]
     ) -> list[PathResult]:
         """Best monotone path per user; order matches ``user_rows``.
 
-        Identical results under every strategy; the chosen one is counted
-        in ``engine.strategy.<name>`` and wall-time lands in the
-        ``engine.assign_seconds`` histogram.
+        Wall-time lands in the ``engine.assign_seconds`` histogram.
         """
+        with self._timed(len(user_rows)):
+            if self.pooled:
+                return self._pool.assign(score_table, user_rows)
+            return batch_assign(
+                score_table,
+                list(user_rows),
+                max_step=self.max_step,
+                step_log_penalties=self.step_log_penalties,
+            )
+
+    @contextmanager
+    def _timed(self, num_users: int) -> Iterator[None]:
+        """One ``engine.assign`` span and histogram sample per call."""
         registry = get_registry()
-        chosen = self.resolve_strategy(len(user_rows))
-        registry.counter(f"engine.strategy.{chosen}").inc()
         start = registry.clock()
         try:
-            with get_tracer().span(
-                "engine.assign", strategy=chosen, users=len(user_rows)
-            ):
-                if chosen == "pooled":
-                    return self._pool.assign(score_table, user_rows)
-                if chosen == "batched":
-                    return batch_assign(
-                        score_table,
-                        list(user_rows),
-                        max_step=self.max_step,
-                        step_log_penalties=self.step_log_penalties,
-                    )
-                return [
-                    best_monotone_path(
-                        score_table[:, rows].T,
-                        max_step=self.max_step,
-                        step_log_penalties=self.step_log_penalties,
-                    )
-                    for rows in user_rows
-                ]
+            with get_tracer().span("engine.assign", pooled=self.pooled, users=num_users):
+                yield
         finally:
             registry.histogram("engine.assign_seconds").observe(
                 registry.clock() - start
@@ -181,40 +142,29 @@ class AssignmentEngine:
         levels concatenated in ``user_rows`` order, and one log-likelihood
         per user.  The training loop consumes this form directly — per-user
         churn masks, level histograms, and the sufficient-statistics deltas
-        all operate on the flat array — and the batched strategy reuses a
+        all operate on the flat array — and the in-process kernel reuses a
         cached :class:`~repro.core.dp_batch.BatchPlan`, skipping the
         per-iteration pad/bucket/marshalling work entirely.
         """
-        if self.resolve_strategy(len(user_rows)) == "batched":
-            registry = get_registry()
-            registry.counter("engine.strategy.batched").inc()
-            start = registry.clock()
-            try:
-                with get_tracer().span(
-                    "engine.assign", strategy="batched", users=len(user_rows)
-                ):
-                    score_table = np.asarray(score_table, dtype=np.float64)
-                    if score_table.ndim != 2:
-                        raise ConfigurationError(
-                            f"score_table must be 2-D, got shape {score_table.shape}"
-                        )
-                    plan = self._plan_for(user_rows, score_table.shape[0])
-                    return batch_assign_flat(
-                        np.ascontiguousarray(score_table.T),
-                        plan,
-                        max_step=self.max_step,
-                        step_log_penalties=self.step_log_penalties,
-                    )
-            finally:
-                registry.histogram("engine.assign_seconds").observe(
-                    registry.clock() - start
+        if self.pooled:
+            paths = self.assign(score_table, user_rows)
+            lls = np.fromiter(
+                (p.log_likelihood for p in paths), dtype=np.float64, count=len(paths)
+            )
+            if not paths:
+                return np.empty(0, dtype=np.int64), lls
+            flat = np.concatenate([p.levels for p in paths])
+            return flat.astype(np.int64, copy=False), lls
+        with self._timed(len(user_rows)):
+            score_table = np.asarray(score_table, dtype=np.float64)
+            if score_table.ndim != 2:
+                raise ConfigurationError(
+                    f"score_table must be 2-D, got shape {score_table.shape}"
                 )
-        # Serial/pooled strategies count and time themselves via assign().
-        paths = self.assign(score_table, user_rows)
-        lls = np.fromiter(
-            (p.log_likelihood for p in paths), dtype=np.float64, count=len(paths)
-        )
-        if not paths:
-            return np.empty(0, dtype=np.int64), lls
-        flat = np.concatenate([p.levels for p in paths])
-        return flat.astype(np.int64, copy=False), lls
+            plan = self._plan_for(user_rows, score_table.shape[0])
+            return batch_assign_flat(
+                np.ascontiguousarray(score_table.T),
+                plan,
+                max_step=self.max_step,
+                step_log_penalties=self.step_log_penalties,
+            )

@@ -1,37 +1,32 @@
-"""Sharded map-reduce training over an out-of-core action store.
+"""Out-of-core training blocks: an action store, one shard at a time.
 
-:class:`~repro.core.training.Trainer` holds every user's encoded rows in
-RAM for the whole fit; this module runs the same alternation over a
-:class:`~repro.data.store.ActionStore` one shard at a time, so peak
-memory is bounded by the largest shard, never the corpus:
+:class:`~repro.core.training.Trainer` runs the alternation over users in
+blocks.  An in-RAM log is one resident block; this module supplies the
+on-disk kind, :class:`ShardBlocks`, which presents each shard of an
+:class:`~repro.data.store.ActionStore` as one block, so peak memory is
+bounded by the largest shard, never the corpus:
 
-- **map (E-step)** — each shard task loads its columns eagerly (a bounded
+- **E-step** — each shard task loads its columns eagerly (a bounded
   copy; memmapped pages a fit touches would stay resident and defeat the
   out-of-core point), runs the batched assignment DP from
   :mod:`repro.core.dp_batch` against the iteration's score table, and
   returns per-user levels + log-likelihoods.  Tasks run serially
   in-process or on a :class:`ShardPool` process pool (score tables then
-  ride the PR 3 shared-memory publication).
-- **reduce (M-step input)** — shard results fold into one
-  :class:`~repro.core.stats.SkillStats` by **exact integer addition**
-  (:meth:`~repro.core.stats.SkillStats.add` /
-  :meth:`~repro.core.stats.SkillStats.update`), so the reduced statistics
-  are bit-identical to a cold single-pass build over the whole corpus no
-  matter how users were partitioned.  The M-step then runs once on the
-  reduced statistics.
+  ride the shared-memory publication of :mod:`repro.core.parallel`).
+- **catalog rows** — a shard's item codes mapped through the store
+  vocabulary, read back per reduce.
+- **previous levels** — the last committed assignment of each shard, kept
+  as int32 ``.npy`` files in a scratch directory: derived data, rebuilt
+  by any restart of the fit.
 
-Because the batched DP is bit-identical per user to the scalar kernel
-regardless of batch composition, shards are assigned in user
-(first-appearance) order, and the total log-likelihood is summed with the
-same sequential Python ``sum`` over per-user values, a sharded fit's LL
-trace and final assignments are **bit-identical** to an in-RAM
-single-process fit on the same corpus — the repo's parity discipline
-extended across the RAM boundary (asserted by ``tests/test_core_shard.py``
-and ``tools/bench_scale.py``).
-
-Scratch state (previous/current level assignments per shard) lives in a
-temporary directory next to nothing — it is derived data, rebuilt by any
-restart of the fit.
+The trainer folds the blocks into one
+:class:`~repro.core.stats.SkillStats` by exact integer addition, in user
+(first-appearance) order, and sums per-user log-likelihoods with one
+sequential Python ``sum``; because the batched DP is bit-identical per
+user regardless of batch composition, a store fit's LL trace and final
+assignments are **bit-identical** to the in-RAM fit of the same corpus,
+for any shard geometry (asserted by ``tests/test_core_shard.py`` and
+``tools/bench_scale.py``).
 """
 
 from __future__ import annotations
@@ -39,50 +34,38 @@ from __future__ import annotations
 import os
 import tempfile
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from repro.core.dp_batch import batch_assign_flat, prepare_batch
-from repro.core.model import ScoreTableCache, SkillModel, SkillParameters, TrainingTrace
+from repro.core.model import SkillParameters, TrainingTrace
 from repro.core.parallel import (
     RecoveringPool,
     _SharedScoreTable,
     _open_shared_table,
-    make_cell_fitter,
     publish_item_major,
 )
-from repro.core.stats import SkillStats
-from repro.core.training import TrainerConfig, uniform_segment_levels
 from repro.data.store import ActionStore
-from repro.exceptions import ConvergenceError, DataError
-from repro.obs.logging import current_run_id, get_logger
 from repro.obs.metrics import get_registry
-from repro.obs.resource import ResourceSampler
-from repro.obs.telemetry import IterationRecord, TelemetryBuilder
-from repro.obs.trace import get_tracer, new_span_id
 
-_log = get_logger("core.shard")
-
-__all__ = ["ShardPool", "ShardedFitResult", "ShardedTrainer", "SHARD_STAGES"]
-
-#: Per-iteration stages of the sharded loop; ``reduce`` replaces the
-#: in-RAM trainer's ``checkpoint`` slot (store fits don't checkpoint yet).
-SHARD_STAGES = ("table_build", "assign", "reduce", "cell_fit", "iteration")
+__all__ = ["ShardBlocks", "ShardPool", "ShardedFitResult"]
 
 
 # --------------------------------------------------------------------------
-# Map step: one task per shard.
+# E-step: one task per shard.
 # --------------------------------------------------------------------------
 
-#: One reader per store per worker process; shards themselves are loaded
-#: eagerly per task, so the cache holds manifests, not data.
+#: Pool workers' readers, one per store path.  Only worker processes fill
+#: it — the training process hands its own :class:`ActionStore` to
+#: in-process tasks — so a worker forked from it never inherits a reader
+#: for a store that was since rewritten at the same path.
 _STORE_CACHE: dict[str, ActionStore] = {}
 
 
-def _cached_store(path: str) -> ActionStore:
+def _worker_store(path: str) -> ActionStore:
     store = _STORE_CACHE.get(path)
     if store is None:
         store = _STORE_CACHE[path] = ActionStore(path)
@@ -90,23 +73,26 @@ def _cached_store(path: str) -> ActionStore:
 
 
 def _estep_shard_impl(
-    task: tuple[str, int, np.ndarray | _SharedScoreTable, int, int, np.ndarray | None],
+    task: tuple[
+        ActionStore | str, int, np.ndarray | _SharedScoreTable, int, int, np.ndarray | None
+    ],
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Worker body: batched assignment DP over one shard.
 
-    ``task`` is ``(store_path, shard_index, code_major_table, num_levels,
-    max_step, step_log_penalties)`` where the table is code-major ``(V,
-    S)`` — row ``c`` holds the level scores of store code ``c`` — either
-    inline or as a shared-memory descriptor.  Returns ``(levels, lls,
-    seconds)``: concatenated 0-based levels in shard user order, one
-    log-likelihood per user, and the task's wall time.
+    ``task`` is ``(store, shard_index, code_major_table, num_levels,
+    max_step, step_log_penalties)``.  ``store`` is the trainer's reader for
+    in-process tasks or the store path for pool tasks.  The table is
+    code-major ``(V, S)`` — row ``c`` holds the level scores of store code
+    ``c`` — either inline or as a shared-memory descriptor.  Returns
+    ``(levels, lls, seconds)``: concatenated 0-based levels in shard user
+    order, one log-likelihood per user, and the task's wall time.
     """
     start = time.perf_counter()
-    store_path, shard_index, table_ref, num_levels, max_step, penalties = task
-    store = _cached_store(store_path)
+    store, shard_index, table_ref, num_levels, max_step, penalties = task
+    if not isinstance(store, ActionStore):
+        store = _worker_store(store)
     shard = store.shard(shard_index, eager=True)
-    user_rows = shard.user_rows()
-    plan = prepare_batch(user_rows, num_levels)
+    plan = prepare_batch(shard.user_rows(), num_levels)
     if isinstance(table_ref, _SharedScoreTable):
         view, segment = _open_shared_table(table_ref)
         try:
@@ -146,7 +132,7 @@ class ShardPool(RecoveringPool):
 
 
 # --------------------------------------------------------------------------
-# The sharded trainer.
+# Blocks.
 # --------------------------------------------------------------------------
 
 
@@ -154,8 +140,8 @@ class ShardPool(RecoveringPool):
 class ShardedFitResult:
     """A fit summary without materialized per-user assignments.
 
-    ``ShardedTrainer.fit(..., materialize=False)`` returns this at scales
-    where a million-entry assignments dict (and the
+    ``Trainer.fit(..., materialize=False)`` returns this at scales where a
+    million-entry assignments dict (and the
     :class:`~repro.core.model.SkillModel` JSON it implies) stops being a
     sensible artifact.  Parameters, trace, and telemetry are exactly what
     the materialized model would carry.
@@ -169,396 +155,104 @@ class ShardedFitResult:
     num_shards: int
 
 
-class ShardedTrainer:
-    """Fits skill models over an :class:`~repro.data.store.ActionStore`.
+class ShardBlocks:
+    """An :class:`~repro.data.store.ActionStore` as one block per shard.
 
-    Accepts the same :class:`~repro.core.training.TrainerConfig` as the
-    in-RAM trainer; ``parallel.users``/``workers`` (with
-    ``assignment_strategy`` ``"auto"`` or ``"pooled"``) switch the map
-    step onto a :class:`ShardPool`.  Checkpointing is not supported for
-    store fits.
+    ``parallel.users``/``workers`` in the trainer configuration put the
+    E-step on a :class:`ShardPool`.  Use as a context manager: closing
+    shuts the pool down and removes the scratch directory.
     """
 
-    def __init__(self, config: TrainerConfig):
-        self.config = config
-
-    # ----------------------------------------------------------------- fit
-
-    def fit(
-        self,
-        store: ActionStore,
-        catalog,
-        feature_set,
-        *,
-        materialize: bool = True,
-    ) -> SkillModel | ShardedFitResult:
-        """Run initialization + alternation to convergence over ``store``.
-
-        ``materialize=False`` skips rebuilding the per-user assignments
-        dict and returns a :class:`ShardedFitResult` instead of a
-        :class:`~repro.core.model.SkillModel`.
-        """
-        if store.num_actions == 0:
-            raise DataError("cannot train on an empty action store")
-        encoded = feature_set.encode(catalog)
+    def __init__(self, store: ActionStore, encoded, config):
+        self.store = store
+        self.num_users = store.num_users
+        self.num_actions = store.num_actions
+        self.num_blocks = store.num_shards
         # Store code -> catalog row, fixed for the whole fit.  Gathering
-        # the score table through this map once per iteration gives
-        # workers a code-major table bit-identical to what the in-RAM
+        # the score table through this map once per iteration gives the
+        # E-step a code-major table bit-identical to what the in-RAM
         # engine gathers per action.
-        vocab_rows = encoded.rows_for(store.item_ids)
-        registry = get_registry()
-        sampler = ResourceSampler(registry)
-        sampler.install_gc_hooks()
-        try:
-            with get_tracer().span(
-                "train.fit",
-                users=store.num_users,
-                resumed=False,
-                shards=store.num_shards,
-            ) as fit_span:
-                result = self._fit_impl(
-                    store, encoded, vocab_rows, registry, sampler, materialize
-                )
-                fit_span.set(
-                    iterations=result.trace.num_iterations,
-                    converged=result.trace.converged,
-                )
-                return result
-        finally:
-            sampler.uninstall_gc_hooks()
-
-    def _fit_impl(
-        self,
-        store: ActionStore,
-        encoded,
-        vocab_rows: np.ndarray,
-        registry,
-        sampler: ResourceSampler,
-        materialize: bool,
-    ) -> SkillModel | ShardedFitResult:
-        cfg = self.config
-        tracer = get_tracer()
-        clock = registry.clock
-        builder = TelemetryBuilder(run_id=current_run_id(), stages=SHARD_STAGES)
-        fit_start = clock()
-        cell_fitter = make_cell_fitter(cfg.parallel)
-        num_shards = store.num_shards
-        registry.gauge("train.shards").set(num_shards)
+        self._vocab_rows = encoded.rows_for(store.item_ids)
         # Per-user offsets are fixed across iterations; ~8 bytes per user
-        # is the one per-user driver allocation this loop keeps.
-        offsets = [
+        # is the one per-user allocation a store fit keeps in the trainer.
+        self._offsets = [
             np.load(store.path / entry["name"] / "offsets.npy", allow_pickle=False)
             for entry in store.manifest["shards"]
         ]
-        penalties = (
+        self._task_config = (
+            config.num_levels,
+            config.max_step,
             None
-            if cfg.step_log_penalties is None
-            else np.asarray(cfg.step_log_penalties, dtype=np.float64)
+            if config.step_log_penalties is None
+            else np.asarray(config.step_log_penalties, dtype=np.float64),
         )
-        parameters = self._initialize(store, encoded, vocab_rows, cell_fitter)
-        cache = ScoreTableCache()
-        pool = (
-            ShardPool(cfg.parallel)
-            if cfg.parallel.users
-            and cfg.parallel.workers > 1
-            and cfg.assignment_strategy in ("auto", "pooled")
-            else None
+        parallel = config.parallel
+        self._pool = (
+            ShardPool(parallel) if parallel.users and parallel.workers > 1 else None
         )
-        log_likelihoods: list[float] = []
-        converged = False
-        num_cells = cfg.num_levels * len(encoded.feature_set)
-        stats: SkillStats | None = None
-        previous_hist: np.ndarray | None = None
-        have_prev = False
-        final_iteration_levels_on_disk = False
-        try:
-            with tempfile.TemporaryDirectory(prefix="repro-shard-") as scratch_str:
-                scratch = Path(scratch_str)
-                for iteration in range(cfg.max_iterations):
-                    iteration_ts = tracer.wall() if tracer.enabled else 0.0
-                    iteration_start = clock()
-                    stage_seconds = dict.fromkeys(SHARD_STAGES, 0.0)
-                    stage_start = clock()
-                    with tracer.span("engine.score_table"):
-                        table = parameters.item_score_table(encoded, cache=cache)
-                    code_major = np.ascontiguousarray(table.T[vocab_rows])
-                    stage_seconds["table_build"] = clock() - stage_start
+        self._scratch = tempfile.TemporaryDirectory(prefix="repro-shard-")
+        self._dir = Path(self._scratch.name)
+        get_registry().gauge("train.shards").set(self.num_blocks)
 
-                    stage_start = clock()
-                    shard_lls = self._map_shards(
-                        store, scratch, code_major, penalties, pool, registry
-                    )
-                    stage_seconds["assign"] = clock() - stage_start
-                    # Sequential Python sum over per-user values in user
-                    # order (shard order *is* user order), matching the
-                    # in-RAM trainer to the last bit.
-                    total_ll = float(
-                        sum(ll for lls in shard_lls for ll in lls.tolist())
-                    )
+    def __enter__(self) -> "ShardBlocks":
+        return self
 
-                    improvement = None
-                    if log_likelihoods:
-                        previous = log_likelihoods[-1]
-                        improvement = total_ll - previous
-                        if cfg.strict and improvement < -1e-3 * max(1.0, abs(previous)):
-                            raise ConvergenceError(
-                                f"objective decreased from {previous:.6f} "
-                                f"(iteration {iteration}) to {total_ll:.6f} "
-                                f"(iteration {iteration + 1})"
-                            )
-                        log_likelihoods.append(total_ll)
-                        if abs(improvement) <= cfg.tol * max(1.0, abs(previous)):
-                            converged = True
-                    else:
-                        log_likelihoods.append(total_ll)
+    def __exit__(self, *exc_info) -> None:
+        if self._pool is not None:
+            self._pool.close()
+        self._scratch.cleanup()
 
-                    # Reduce: one pass over the shards' new assignments,
-                    # folding churn diagnostics and (unless converged)
-                    # integer statistics deltas into driver-global state.
-                    stage_start = clock()
-                    level_hist = np.zeros(cfg.num_levels, dtype=np.int64)
-                    unchanged = 0
-                    dirty: np.ndarray | None = None
-                    cells_refit = 0
-                    # First M-step of the run (or every M-step with the
-                    # incremental path off) rebuilds statistics cold;
-                    # later iterations fold per-shard integer deltas in.
-                    cold_build = not converged and (
-                        not cfg.incremental_mstep or stats is None or not have_prev
-                    )
-                    if cold_build:
-                        stats = SkillStats(encoded, cfg.num_levels)
-                    for index in range(num_shards):
-                        new_path = scratch / f"new-{index}.npy"
-                        prev_path = scratch / f"prev-{index}.npy"
-                        new_levels = np.load(new_path, allow_pickle=False)
-                        level_hist += np.bincount(
-                            new_levels, minlength=cfg.num_levels
-                        )
-                        if have_prev:
-                            prev_levels = np.load(prev_path, allow_pickle=False)
-                            changed = new_levels != prev_levels
-                            bounds = offsets[index]
-                            changed_cum = np.concatenate(([0], np.cumsum(changed)))
-                            per_user = changed_cum[bounds[1:]] - changed_cum[bounds[:-1]]
-                            unchanged += int(np.count_nonzero(per_user == 0))
-                            if not converged and not cold_build:
-                                moved = np.flatnonzero(changed)
-                                if len(moved):
-                                    codes = store.shard_codes(index)
-                                    touched = stats.update(
-                                        vocab_rows[codes[moved]],
-                                        prev_levels[moved],
-                                        new_levels[moved],
-                                    )
-                                    dirty = (
-                                        touched
-                                        if dirty is None
-                                        else np.union1d(dirty, touched)
-                                    )
-                        if cold_build:
-                            codes = store.shard_codes(index)
-                            stats.add(vocab_rows[codes], new_levels)
-                        os.replace(new_path, prev_path)
-                    final_iteration_levels_on_disk = True
-                    have_prev = True
-                    stage_seconds["reduce"] = clock() - stage_start
+    @property
+    def event_counts(self) -> dict[str, int]:
+        if self._pool is not None:
+            return dict(self._pool.event_counts)
+        return {"rebuilds": 0, "degraded": 0, "chunk_timeouts": 0}
 
-                    if not converged:
-                        stage_start = clock()
-                        if cold_build:
-                            parameters = SkillParameters.fit_from_stats(
-                                stats,
-                                smoothing=cfg.smoothing,
-                                cell_fitter=cell_fitter,
-                            )
-                            cells_refit = num_cells
-                        elif dirty is not None:
-                            parameters = SkillParameters.fit_from_stats(
-                                stats,
-                                smoothing=cfg.smoothing,
-                                cell_fitter=cell_fitter,
-                                previous=parameters,
-                                dirty_levels=dirty,
-                            )
-                            cells_refit = len(dirty) * len(encoded.feature_set)
-                        else:
-                            # No action moved: statistics — and hence every
-                            # refit cell — are unchanged.
-                            cells_refit = 0
-                        registry.gauge("train.cells_refit").set(cells_refit)
-                        if not cfg.incremental_mstep:
-                            stats = None  # rebuilt cold next iteration
-                        stage_seconds["cell_fit"] = clock() - stage_start
+    def offsets(self, index: int) -> np.ndarray:
+        return self._offsets[index]
 
-                    stage_seconds["iteration"] = clock() - iteration_start
-                    record = self._observe_iteration(
-                        registry,
-                        stage_seconds,
-                        total_ll=total_ll,
-                        improvement=improvement,
-                        iteration_number=len(log_likelihoods),
-                        unchanged=unchanged if iteration > 0 else None,
-                        level_hist=level_hist,
-                        previous_hist=previous_hist,
-                    )
-                    builder.record_iteration(record)
-                    if tracer.enabled:
-                        iter_span_id = new_span_id()
-                        tracer.record(
-                            "train.iteration",
-                            span=iter_span_id,
-                            ts=iteration_ts,
-                            duration=stage_seconds["iteration"],
-                            iteration=len(log_likelihoods),
-                            log_likelihood=total_ll,
-                        )
-                        offset = iteration_ts
-                        for stage in ("table_build", "assign", "reduce", "cell_fit"):
-                            seconds = stage_seconds[stage]
-                            if seconds:
-                                tracer.record(
-                                    f"train.{stage}",
-                                    parent=iter_span_id,
-                                    ts=offset,
-                                    duration=seconds,
-                                )
-                                offset += seconds
-                    if cfg.on_iteration is not None:
-                        cfg.on_iteration(record)
-                    previous_hist = level_hist
-                    if converged:
-                        break
+    def rows(self, index: int) -> np.ndarray:
+        return self._vocab_rows[self.store.shard_codes(index)]
 
-                pool_events = (
-                    dict(pool.event_counts)
-                    if pool is not None
-                    else {"rebuilds": 0, "degraded": 0, "chunk_timeouts": 0}
-                )
-                telemetry = builder.build(
-                    log_likelihoods=tuple(log_likelihoods),
-                    pool_events=pool_events,
-                    converged=converged,
-                    total_seconds=clock() - fit_start,
-                    resources=sampler.sample(),
-                )
-                _log.info(
-                    "fit complete",
-                    extra={
-                        "obs": {
-                            "iterations": len(log_likelihoods),
-                            "converged": converged,
-                            "shards": num_shards,
-                            "log_likelihood": (
-                                round(log_likelihoods[-1], 3)
-                                if log_likelihoods
-                                else None
-                            ),
-                            "seconds": round(telemetry.total_seconds, 6),
-                        }
-                    },
-                )
-                trace = TrainingTrace(
-                    log_likelihoods=tuple(log_likelihoods),
-                    converged=converged,
-                    num_iterations=len(log_likelihoods),
-                )
-                if not materialize:
-                    return ShardedFitResult(
-                        parameters=parameters,
-                        trace=trace,
-                        telemetry=telemetry,
-                        num_users=store.num_users,
-                        num_actions=store.num_actions,
-                        num_shards=num_shards,
-                    )
-                assert final_iteration_levels_on_disk
-                assignments: dict = {}
-                times: dict = {}
-                for index in range(num_shards):
-                    shard = store.shard(index, eager=True)
-                    levels = np.load(
-                        scratch / f"prev-{index}.npy", allow_pickle=False
-                    )
-                    for k, user in enumerate(shard.users):
-                        lo, hi = int(shard.offsets[k]), int(shard.offsets[k + 1])
-                        assignments[user] = (levels[lo:hi] + 1).astype(np.int64)
-                        times[user] = np.asarray(shard.times[lo:hi], dtype=np.float64)
-                return SkillModel(
-                    parameters=parameters,
-                    encoded=encoded,
-                    assignments=assignments,
-                    trace=trace,
-                    _assignment_times=times,
-                    telemetry=telemetry,
-                )
-        finally:
-            if pool is not None:
-                pool.close()
+    def estep(self, table: np.ndarray) -> list[np.ndarray]:
+        """Assign every shard against ``table``; stage each shard's new
+        levels in scratch and return the per-shard log-likelihoods."""
+        code_major = np.ascontiguousarray(table.T[self._vocab_rows])
+        shard_seconds = get_registry().histogram("train.shard_seconds")
 
-    # ----------------------------------------------------------- map helper
-
-    def _map_shards(
-        self,
-        store: ActionStore,
-        scratch: Path,
-        code_major: np.ndarray,
-        penalties: np.ndarray | None,
-        pool: ShardPool | None,
-        registry,
-    ) -> list[np.ndarray]:
-        """Run the E-step over every shard; write each shard's new levels
-        to scratch and return the per-shard log-likelihood arrays."""
-        cfg = self.config
-        store_path = str(store.path)
-        num_shards = store.num_shards
-        shard_seconds = registry.histogram("train.shard_seconds")
-
-        def _store_result(index: int, result) -> np.ndarray:
+        def _stage(index: int, result) -> np.ndarray:
             levels, lls, seconds = result
             shard_seconds.observe(seconds)
             # int32 halves scratch I/O; levels are < num_levels, and every
             # consumer re-widens to int64 (exactly) on load.
             np.save(
-                scratch / f"new-{index}.npy",
+                self._dir / f"new-{index}.npy",
                 np.asarray(levels, dtype=np.int32),
                 allow_pickle=False,
             )
             return lls
 
-        def _plain_task(index: int):
-            return (
-                store_path,
-                index,
-                code_major,
-                cfg.num_levels,
-                cfg.max_step,
-                penalties,
-            )
-
-        if pool is None or pool._serial_fallback:
+        def _serial() -> list[np.ndarray]:
             return [
-                _store_result(index, _estep_shard_impl(_plain_task(index)))
-                for index in range(num_shards)
+                _stage(
+                    index,
+                    _estep_shard_impl((self.store, index, code_major, *self._task_config)),
+                )
+                for index in range(self.num_blocks)
             ]
+
+        pool = self._pool
+        if pool is None or pool._serial_fallback:
+            return _serial()
         shm, ref = publish_item_major(code_major)
         try:
             table_ref = ref if ref is not None else code_major
+            store_path = str(self.store.path)
             tasks = [
-                (store_path, index, table_ref, cfg.num_levels, cfg.max_step, penalties)
-                for index in range(num_shards)
+                (store_path, index, table_ref, *self._task_config)
+                for index in range(self.num_blocks)
             ]
-            status, results = pool._run_with_recovery(tasks, registry)
-            if status == "serial":
-                # The pool degraded mid-iteration; rerun every shard with
-                # the real worker body (tasks are pure, reruns are safe).
-                return [
-                    _store_result(index, _estep_shard_impl(_plain_task(index)))
-                    for index in range(num_shards)
-                ]
-            return [
-                _store_result(index, result) for index, result in enumerate(results)
-            ]
+            status, results = pool._run_with_recovery(tasks, get_registry())
         finally:
             if shm is not None:
                 for finalize in (shm.close, shm.unlink):
@@ -566,108 +260,27 @@ class ShardedTrainer:
                         finalize()
                     except FileNotFoundError:  # pragma: no cover
                         pass
+        if status == "serial":
+            # The pool degraded mid-iteration; rerun every shard with the
+            # real worker body (tasks are pure, reruns are safe).
+            return _serial()
+        return [_stage(index, result) for index, result in enumerate(results)]
 
-    # --------------------------------------------------------------- stages
+    def advance(self, index: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """Commit shard ``index``'s staged levels; returns ``(new,
+        previous)``, ``previous`` being ``None`` on the first commit."""
+        new_path = self._dir / f"new-{index}.npy"
+        prev_path = self._dir / f"prev-{index}.npy"
+        new = np.load(new_path, allow_pickle=False)
+        previous = np.load(prev_path, allow_pickle=False) if prev_path.exists() else None
+        os.replace(new_path, prev_path)
+        return new, previous
 
-    @staticmethod
-    def _observe_iteration(
-        registry,
-        stage_seconds: dict[str, float],
-        *,
-        total_ll: float,
-        improvement: float | None,
-        iteration_number: int,
-        unchanged: int | None,
-        level_hist: np.ndarray,
-        previous_hist: np.ndarray | None,
-    ) -> IterationRecord:
-        """Publish one iteration's diagnostics (the sharded counterpart of
-        ``Trainer._observe_iteration`` — same metric names, plus the
-        ``reduce`` stage histogram)."""
-        for stage, seconds in stage_seconds.items():
-            registry.histogram(f"train.{stage}_seconds").observe(seconds)
-        drift = (
-            float(
-                np.abs(level_hist - previous_hist).sum()
-                / max(1, int(level_hist.sum()))
-            )
-            if previous_hist is not None
-            else None
-        )
-        registry.counter("train.iterations").inc()
-        registry.gauge("train.log_likelihood").set(total_ll)
-        if improvement is not None:
-            registry.gauge("train.improvement").set(improvement)
-        if unchanged is not None:
-            registry.gauge("train.unchanged_users").set(unchanged)
-        if drift is not None:
-            registry.gauge("train.level_drift").set(drift)
-        record = IterationRecord(
-            iteration=iteration_number,
-            log_likelihood=total_ll,
-            improvement=improvement,
-            stage_seconds=stage_seconds,
-            unchanged_users=unchanged,
-            level_histogram=tuple(int(v) for v in level_hist),
-            level_drift=drift,
-        )
-        _log.info(
-            "iteration",
-            extra={
-                "obs": {
-                    "iteration": iteration_number,
-                    "log_likelihood": round(total_ll, 3),
-                    "improvement": (
-                        None if improvement is None else round(improvement, 6)
-                    ),
-                    "ms": round(stage_seconds["iteration"] * 1000.0, 3),
-                }
-            },
-        )
-        return record
-
-    # ------------------------------------------------------- initialization
-
-    def _initialize(
-        self,
-        store: ActionStore,
-        encoded,
-        vocab_rows: np.ndarray,
-        cell_fitter,
-    ) -> SkillParameters:
-        """Uniform-segment initialization streamed one shard at a time.
-
-        Statistics for the qualifying users (``U_{≥N}``) accumulate by
-        exact integer addition, so the initial parameters are bit-identical
-        to the in-RAM trainer's concatenate-then-fit over the same users
-        (``fit_from_assignments`` itself reduces to ``fit_from_stats``).
-        """
-        cfg = self.config
-
-        def _accumulate(min_actions: int) -> tuple[SkillStats, bool]:
-            stats = SkillStats(encoded, cfg.num_levels)
-            any_user = False
-            for shard in store.iter_shards(eager=True):
-                rows_chunks: list[np.ndarray] = []
-                level_chunks: list[np.ndarray] = []
-                for k in range(shard.num_users):
-                    lo, hi = int(shard.offsets[k]), int(shard.offsets[k + 1])
-                    if hi - lo >= min_actions:
-                        rows_chunks.append(vocab_rows[shard.codes[lo:hi]])
-                        level_chunks.append(
-                            uniform_segment_levels(hi - lo, cfg.num_levels)
-                        )
-                if rows_chunks:
-                    any_user = True
-                    stats.add(
-                        np.concatenate(rows_chunks), np.concatenate(level_chunks)
-                    )
-            return stats, any_user
-
-        stats, any_user = _accumulate(cfg.init_min_actions)
-        if not any_user:
-            # Small-data fallback: no user reaches N actions, use everyone.
-            stats, _ = _accumulate(0)
-        return SkillParameters.fit_from_stats(
-            stats, smoothing=cfg.smoothing, cell_fitter=cell_fitter
-        )
+    def paths(self) -> Iterator[tuple[object, np.ndarray, np.ndarray]]:
+        """``(user, committed 0-based levels, times)`` in user order."""
+        for index in range(self.num_blocks):
+            shard = self.store.shard(index, eager=True)
+            levels = np.load(self._dir / f"prev-{index}.npy", allow_pickle=False)
+            for k, user in enumerate(shard.users):
+                lo, hi = int(shard.offsets[k]), int(shard.offsets[k + 1])
+                yield user, levels[lo:hi], np.asarray(shard.times[lo:hi], dtype=np.float64)

@@ -14,6 +14,19 @@ groups, label the ``s``-th group with level ``s``, and fit the first
 parameter set from those labels.  If no user is that long, all users are
 used — a small-data fallback the paper's filtered datasets never need.
 
+There is one loop.  It takes users in blocks, in first-appearance order:
+an in-RAM :class:`~repro.data.actions.ActionLog` is one
+:class:`ResidentBlock`, and an :class:`~repro.data.store.ActionStore` is
+one on-disk block per shard (:class:`~repro.core.shard.ShardBlocks`).  A
+block kind supplies only its E-step, its catalog rows, and its previous
+levels.  Everything else — initialization, the convergence checks, the
+reduce into :class:`~repro.core.stats.SkillStats`, the M-step,
+checkpoints, and telemetry — is written once here.  Statistics are
+integer counts folded block by block (cold ``add`` on the first update,
+warm ``update`` of the moved actions after it, refitting only the dirty
+levels), and the log-likelihood is one sequential sum over users in
+order, so the model is bit-identical for any block geometry.
+
 This hard-assignment scheme is Yang et al.'s: it was reported to run about
 1000× faster than EM with comparable fit quality; the EM comparison lives
 in ``benchmarks/test_ablation_hard_vs_soft.py``.
@@ -21,7 +34,7 @@ in ``benchmarks/test_ablation_hard_vs_soft.py``.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,10 +42,11 @@ import numpy as np
 
 from repro.core import checkpoint as checkpointing
 from repro.core.checkpoint import CheckpointConfig
+from repro.core.engine import AssignmentEngine
 from repro.core.features import FeatureSet
-from repro.core.engine import ASSIGNMENT_STRATEGIES, AssignmentEngine
 from repro.core.model import SkillModel, SkillParameters, TrainingTrace
 from repro.core.parallel import ParallelConfig, make_cell_fitter
+from repro.core.shard import ShardBlocks, ShardedFitResult
 from repro.core.stats import SkillStats
 from repro.data.actions import ActionLog
 from repro.data.items import ItemCatalog
@@ -59,6 +73,7 @@ _log = get_logger("core.training")
 __all__ = [
     "TrainerConfig",
     "Trainer",
+    "ResidentBlock",
     "uniform_segment_levels",
     "fit_skill_model",
     "resume_fit",
@@ -118,19 +133,6 @@ class TrainerConfig:
     #: Optional log-weights per step size 0..max_step (skip-level
     #: progressions à la Shin et al.); ``None`` = unweighted.
     step_log_penalties: tuple[float, ...] | None = None
-    #: How the assignment step runs: one of
-    #: :data:`~repro.core.engine.ASSIGNMENT_STRATEGIES`.  ``"auto"``
-    #: (default) picks serial/batched/pooled per call from the workload.
-    #: A runtime concern like ``parallel`` — never checkpointed, never
-    #: changes results.
-    assignment_strategy: str = "auto"
-    #: Maintain sufficient statistics across iterations and refit only the
-    #: levels whose assignments changed (see
-    #: :class:`~repro.core.stats.SkillStats`).  Integer statistics make the
-    #: incremental path bit-identical to refitting everything; disabling it
-    #: only trades speed for simpler debugging.  A runtime concern like
-    #: ``assignment_strategy`` — never checkpointed, never changes results.
-    incremental_mstep: bool = True
     #: Per-iteration progress callback (see class docstring).
     on_iteration: Callable[[IterationRecord], None] | None = field(
         default=None, repr=False, compare=False
@@ -149,11 +151,6 @@ class TrainerConfig:
             raise ConfigurationError("tol must be >= 0")
         if self.max_step < 1:
             raise ConfigurationError("max_step must be >= 1")
-        if self.assignment_strategy not in ASSIGNMENT_STRATEGIES:
-            raise ConfigurationError(
-                f"assignment_strategy must be one of {ASSIGNMENT_STRATEGIES}, "
-                f"got {self.assignment_strategy!r}"
-            )
         if self.step_log_penalties is not None:
             penalties = tuple(float(p) for p in self.step_log_penalties)
             if len(penalties) != self.max_step + 1:
@@ -163,101 +160,177 @@ class TrainerConfig:
             object.__setattr__(self, "step_log_penalties", penalties)
 
 
+class ResidentBlock:
+    """An in-RAM :class:`~repro.data.actions.ActionLog` as a single block.
+
+    The E-step runs :meth:`AssignmentEngine.assign_flat
+    <repro.core.engine.AssignmentEngine.assign_flat>` over the same
+    ``user_rows`` list every iteration, so the engine prepares its batch
+    plan once; previous levels stay in memory and nothing touches disk.
+    """
+
+    num_blocks = 1
+
+    def __init__(self, log: ActionLog, encoded, engine: AssignmentEngine):
+        self.users = list(log.users)
+        sequences = [log.sequence(u) for u in self.users]
+        self.user_rows = [encoded.rows_for_sequence(s) for s in sequences]
+        self._times = [np.asarray(s.times, dtype=np.float64) for s in sequences]
+        lengths = np.fromiter(
+            (len(rows) for rows in self.user_rows), dtype=np.int64, count=len(self.users)
+        )
+        self._offsets = np.concatenate(([0], np.cumsum(lengths)))
+        self.num_users = len(self.users)
+        self.num_actions = log.num_actions
+        self._engine = engine
+        self._new: np.ndarray | None = None
+        self._previous: np.ndarray | None = None
+
+    def __enter__(self) -> "ResidentBlock":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        pass
+
+    @property
+    def event_counts(self) -> dict[str, int]:
+        return dict(self._engine.event_counts)
+
+    def offsets(self, index: int) -> np.ndarray:
+        return self._offsets
+
+    def rows(self, index: int) -> np.ndarray:
+        # Concatenated per call, like a shard's codes are read per call:
+        # the reduce needs it briefly, and holding a second copy of every
+        # user's rows for the whole fit raises the peak resident set.
+        return np.concatenate(self.user_rows)
+
+    def estep(self, table: np.ndarray) -> list[np.ndarray]:
+        self._new, lls = self._engine.assign_flat(table, self.user_rows)
+        return [lls]
+
+    def advance(self, index: int) -> tuple[np.ndarray, np.ndarray | None]:
+        new, previous = self._new, self._previous
+        self._previous = new
+        return new, previous
+
+    def paths(self) -> Iterator[tuple[object, np.ndarray, np.ndarray]]:
+        levels = np.split(self._previous, self._offsets[1:-1])
+        return zip(self.users, levels, self._times)
+
+
 class Trainer:
-    """Fits a :class:`~repro.core.model.SkillModel` to an action log."""
+    """Fits a :class:`~repro.core.model.SkillModel` to an action log or an
+    out-of-core action store."""
 
     def __init__(self, config: TrainerConfig):
         self.config = config
 
     def fit(
         self,
-        log: ActionLog,
+        data: ActionLog | ActionStore,
         catalog: ItemCatalog,
         feature_set: FeatureSet,
         *,
         checkpoint: CheckpointConfig | None = None,
-    ) -> SkillModel:
+        materialize: bool = True,
+    ) -> SkillModel | ShardedFitResult:
         """Run initialization + alternation to convergence.
 
         ``checkpoint`` enables periodic crash-safe snapshots of the loop
-        state; an interrupted fit can then be continued with
-        :func:`resume_fit` and reaches the same final model.
+        state (log fits only); an interrupted fit can then be continued
+        with :func:`resume_fit` and reaches the same final model.
+        ``materialize=False`` skips rebuilding the per-user assignments and
+        returns a :class:`~repro.core.shard.ShardedFitResult` instead of a
+        :class:`~repro.core.model.SkillModel`.
 
-        Raises :class:`~repro.exceptions.DataError` on an empty log or on
+        Raises :class:`~repro.exceptions.DataError` on empty data or on
         actions referencing items missing from ``catalog``.
         """
-        if log.num_actions == 0:
-            raise DataError("cannot train on an empty action log")
+        kind = "store" if isinstance(data, ActionStore) else "log"
+        if data.num_actions == 0:
+            raise DataError(f"cannot train on an empty action {kind}")
         encoded = feature_set.encode(catalog)
-        users = list(log.users)
-        user_rows = [encoded.rows_for_sequence(log.sequence(u)) for u in users]
-        user_times = [np.asarray(log.sequence(u).times, dtype=np.float64) for u in users]
-        parameters = self._initialize(encoded, users, user_rows, log)
         fingerprint = (
-            checkpointing.data_fingerprint(log, feature_set, encoded.num_items)
+            checkpointing.data_fingerprint(data, feature_set, encoded.num_items)
             if checkpoint is not None
             else None
         )
-        return self._alternate(
-            encoded, users, user_rows, user_times, parameters, [], checkpoint, fingerprint
-        )
+        return self._run(data, encoded, None, [], checkpoint, fingerprint, materialize)
 
-    def _alternate(
+    def _run(
         self,
+        data: ActionLog | ActionStore,
         encoded,
-        users: list,
-        user_rows: list[np.ndarray],
-        user_times: list[np.ndarray],
-        parameters: SkillParameters,
+        parameters: SkillParameters | None,
         log_likelihoods: list[float],
         checkpoint: CheckpointConfig | None,
         fingerprint: dict | None,
-    ) -> SkillModel:
-        """Traced wrapper around :meth:`_alternate_impl`.
+        materialize: bool,
+    ) -> SkillModel | ShardedFitResult:
+        """Open the blocks and run the alternation inside the ``train.fit``
+        root span, so every span recorded during the fit lands in one
+        trace, bracketed by the GC-pause hooks (released on every exit
+        path) whose stats join the telemetry.
 
-        Opens the ``train.fit`` root span so every span recorded during
-        the fit — per-iteration and per-stage records here, engine spans
-        below — lands in one trace, and brackets the fit with the GC-pause
-        hooks (released on every exit path) whose stats join the
-        telemetry.  A disabled tracer makes the span a pass-through.
+        ``parameters`` is ``None`` for a fresh fit (initialize first) or
+        the checkpointed grid of a resumed one.
         """
+        cfg = self.config
+        store_fit = isinstance(data, ActionStore)
+        if store_fit and checkpoint is not None:
+            raise ConfigurationError(
+                "checkpointing is not supported for store-backed fits; "
+                "convert to an in-RAM log or drop the checkpoint config"
+            )
         sampler = ResourceSampler(get_registry())
         sampler.install_gc_hooks()
         try:
-            with get_tracer().span(
-                "train.fit", users=len(users), resumed=bool(log_likelihoods)
+            with AssignmentEngine(
+                cfg.parallel,
+                max_step=cfg.max_step,
+                step_log_penalties=cfg.step_log_penalties,
+            ) as engine, (
+                ShardBlocks(data, encoded, cfg)
+                if store_fit
+                else ResidentBlock(data, encoded, engine)
+            ) as blocks, get_tracer().span(
+                "train.fit",
+                users=blocks.num_users,
+                resumed=bool(log_likelihoods),
+                blocks=blocks.num_blocks,
             ) as fit_span:
-                model = self._alternate_impl(
+                result = self._alternate(
                     encoded,
-                    users,
-                    user_rows,
-                    user_times,
+                    blocks,
+                    engine,
                     parameters,
                     log_likelihoods,
                     checkpoint,
                     fingerprint,
                     sampler,
+                    materialize,
                 )
                 fit_span.set(
-                    iterations=model.trace.num_iterations,
-                    converged=model.trace.converged,
+                    iterations=result.trace.num_iterations,
+                    converged=result.trace.converged,
                 )
-                return model
+                return result
         finally:
             sampler.uninstall_gc_hooks()
 
-    def _alternate_impl(
+    def _alternate(
         self,
         encoded,
-        users: list,
-        user_rows: list[np.ndarray],
-        user_times: list[np.ndarray],
-        parameters: SkillParameters,
+        blocks,
+        engine: AssignmentEngine,
+        parameters: SkillParameters | None,
         log_likelihoods: list[float],
         checkpoint: CheckpointConfig | None,
         fingerprint: dict | None,
         sampler: ResourceSampler,
-    ) -> SkillModel:
+        materialize: bool,
+    ) -> SkillModel | ShardedFitResult:
         """The assignment/update alternation, resumable at any iteration.
 
         ``log_likelihoods`` carries the history of already-completed
@@ -265,10 +338,10 @@ class Trainer:
         parameter grid produced after the last of them.
 
         Every iteration is instrumented: per-stage wall-time (score-table
-        build, assignment, cell fits, checkpoint write) goes to the active
-        metrics registry under ``train.<stage>_seconds`` histograms,
+        build, assignment, reduce, cell fits, checkpoint write) goes to the
+        active metrics registry under ``train.<stage>_seconds`` histograms,
         convergence health to the ``train.*`` gauges, and the whole run is
-        condensed into the returned model's
+        condensed into the result's
         :class:`~repro.obs.telemetry.TrainingTelemetry`.
         """
         cfg = self.config
@@ -278,188 +351,166 @@ class Trainer:
         builder = TelemetryBuilder(run_id=current_run_id(), stages=TRAINER_STAGES)
         fit_start = clock()
         cell_fitter = make_cell_fitter(cfg.parallel)
+        if parameters is None:
+            parameters = self._initialize(encoded, blocks, cell_fitter)
         log_likelihoods = list(log_likelihoods)
+        first_iteration = len(log_likelihoods)
         converged = False
-        num_cells = cfg.num_levels * len(encoded.feature_set)
-        # Per-user structure is fixed across iterations; hoist it.
-        lengths = np.fromiter(
-            (len(rows) for rows in user_rows), dtype=np.int64, count=len(user_rows)
-        )
-        bounds = np.cumsum(lengths)
-        action_rows = (
-            np.concatenate(user_rows) if user_rows else np.empty(0, np.int64)
-        )
-        flat_levels: np.ndarray | None = None
-        prev_flat: np.ndarray | None = None
-        previous_hist: np.ndarray | None = None
+        num_features = len(encoded.feature_set)
         stats: SkillStats | None = None
-        with AssignmentEngine(
-            cfg.parallel,
-            strategy=cfg.assignment_strategy,
-            max_step=cfg.max_step,
-            step_log_penalties=cfg.step_log_penalties,
-        ) as assigner:
-            for iteration in range(len(log_likelihoods), cfg.max_iterations):
-                iteration_ts = tracer.wall() if tracer.enabled else 0.0
-                iteration_start = clock()
-                stage_seconds = dict.fromkeys(TRAINER_STAGES, 0.0)
-                stage_start = clock()
-                table = assigner.score_table(parameters, encoded)
-                stage_seconds["table_build"] = clock() - stage_start
-                stage_start = clock()
-                flat_levels, user_lls = assigner.assign_flat(table, user_rows)
-                stage_seconds["assign"] = clock() - stage_start
-                # Sequential Python sum in user order, matching what a
-                # per-path accumulation produces to the last bit.
-                total_ll = float(sum(user_lls.tolist()))
-                level_hist = np.bincount(flat_levels, minlength=cfg.num_levels)
-                changed = flat_levels != prev_flat if prev_flat is not None else None
+        previous_hist: np.ndarray | None = None
+        for iteration in range(first_iteration, cfg.max_iterations):
+            iteration_ts = tracer.wall() if tracer.enabled else 0.0
+            iteration_start = clock()
+            stage_seconds = dict.fromkeys(TRAINER_STAGES, 0.0)
+            stage_start = clock()
+            table = engine.score_table(parameters, encoded)
+            stage_seconds["table_build"] = clock() - stage_start
+            stage_start = clock()
+            block_lls = blocks.estep(table)
+            stage_seconds["assign"] = clock() - stage_start
+            # One sequential Python sum over per-user values in user order
+            # (block order *is* user order): the same float additions for
+            # every block geometry, down to the last bit.
+            total_ll = float(sum(ll for lls in block_lls for ll in lls.tolist()))
 
-                improvement = None
-                if log_likelihoods:
-                    previous = log_likelihoods[-1]
-                    improvement = total_ll - previous
-                    if cfg.strict and improvement < -1e-3 * max(1.0, abs(previous)):
-                        raise ConvergenceError(
-                            f"objective decreased from {previous:.6f} "
-                            f"(iteration {iteration}) to {total_ll:.6f} "
-                            f"(iteration {iteration + 1})"
-                        )
-                    log_likelihoods.append(total_ll)
-                    if abs(improvement) <= cfg.tol * max(1.0, abs(previous)):
-                        converged = True
-                else:
-                    log_likelihoods.append(total_ll)
-
-                if not converged:
-                    stage_start = clock()
-                    if not cfg.incremental_mstep:
-                        parameters = SkillParameters.fit_from_assignments(
-                            encoded,
-                            action_rows,
-                            flat_levels,
-                            num_levels=cfg.num_levels,
-                            smoothing=cfg.smoothing,
-                            cell_fitter=cell_fitter,
-                        )
-                        cells_refit = num_cells
-                    elif stats is None or changed is None:
-                        # First update of this run: build the statistics
-                        # cold; later iterations patch them with deltas.
-                        stats = SkillStats.from_assignments(
-                            encoded,
-                            action_rows,
-                            flat_levels,
-                            num_levels=cfg.num_levels,
-                        )
-                        parameters = SkillParameters.fit_from_stats(
-                            stats,
-                            smoothing=cfg.smoothing,
-                            cell_fitter=cell_fitter,
-                        )
-                        cells_refit = num_cells
-                    else:
-                        moved = np.flatnonzero(changed)
-                        if len(moved):
-                            dirty = stats.update(
-                                action_rows[moved],
-                                prev_flat[moved],
-                                flat_levels[moved],
-                            )
-                            parameters = SkillParameters.fit_from_stats(
-                                stats,
-                                smoothing=cfg.smoothing,
-                                cell_fitter=cell_fitter,
-                                previous=parameters,
-                                dirty_levels=dirty,
-                            )
-                            cells_refit = len(dirty) * len(encoded.feature_set)
-                        else:
-                            # No action moved: the statistics — and hence
-                            # every refit cell — are unchanged.
-                            cells_refit = 0
-                    registry.gauge("train.cells_refit").set(cells_refit)
-                    stage_seconds["cell_fit"] = clock() - stage_start
-                    if (
-                        checkpoint is not None
-                        and len(log_likelihoods) % checkpoint.every == 0
-                    ):
-                        stage_start = clock()
-                        written = checkpointing.write_checkpoint(
-                            checkpoint.path,
-                            parameters=parameters,
-                            log_likelihoods=log_likelihoods,
-                            trainer_config=_config_payload(cfg),
-                            fingerprint=fingerprint or {},
-                            every=checkpoint.every,
-                        )
-                        checkpoint_seconds = clock() - stage_start
-                        stage_seconds["checkpoint"] = checkpoint_seconds
-                        builder.record_checkpoint(
-                            CheckpointEvent(
-                                iteration=len(log_likelihoods),
-                                path=str(written),
-                                num_bytes=written.stat().st_size,
-                                seconds=checkpoint_seconds,
-                            )
-                        )
-
-                stage_seconds["iteration"] = clock() - iteration_start
-                record = self._observe_iteration(
-                    registry,
-                    stage_seconds,
-                    total_ll=total_ll,
-                    improvement=improvement,
-                    iteration_number=len(log_likelihoods),
-                    changed=changed,
-                    lengths=lengths,
-                    bounds=bounds,
-                    level_hist=level_hist,
-                    previous_hist=previous_hist,
-                )
-                builder.record_iteration(record)
-                if tracer.enabled:
-                    # Reconstructed from the stage clocks already taken —
-                    # the hot loop pays no extra timing calls.  Stage start
-                    # times are cumulative approximations; durations are
-                    # the measured values.
-                    iter_span_id = new_span_id()
-                    tracer.record(
-                        "train.iteration",
-                        span=iter_span_id,
-                        ts=iteration_ts,
-                        duration=stage_seconds["iteration"],
-                        iteration=len(log_likelihoods),
-                        log_likelihood=total_ll,
+            improvement = None
+            if log_likelihoods:
+                previous = log_likelihoods[-1]
+                improvement = total_ll - previous
+                if cfg.strict and improvement < -1e-3 * max(1.0, abs(previous)):
+                    raise ConvergenceError(
+                        f"objective decreased from {previous:.6f} "
+                        f"(iteration {iteration}) to {total_ll:.6f} "
+                        f"(iteration {iteration + 1})"
                     )
-                    offset = iteration_ts
-                    for stage in ("table_build", "assign", "cell_fit", "checkpoint"):
-                        seconds = stage_seconds[stage]
-                        if seconds:
-                            tracer.record(
-                                f"train.{stage}",
-                                parent=iter_span_id,
-                                ts=offset,
-                                duration=seconds,
-                            )
-                            offset += seconds
-                if cfg.on_iteration is not None:
-                    cfg.on_iteration(record)
-                prev_flat = flat_levels
-                previous_hist = level_hist
-                if converged:
-                    break
-            if flat_levels is None and user_rows:
-                # Resumed with no iterations left to run (the checkpoint was
-                # written at max_iterations): materialize assignments from
-                # the checkpointed parameters without extending the trace.
-                table = assigner.score_table(parameters, encoded)
-                flat_levels, _ = assigner.assign_flat(table, user_rows)
-            pool_events = dict(assigner.event_counts)
+                if abs(improvement) <= cfg.tol * max(1.0, abs(previous)):
+                    converged = True
+            log_likelihoods.append(total_ll)
+
+            # Reduce: one pass over the blocks' new assignments, folding
+            # churn diagnostics and (unless converged) integer statistics
+            # into fit-wide state.  The first update of a run builds
+            # the statistics cold; later ones move only the changed actions.
+            stage_start = clock()
+            level_hist = np.zeros(cfg.num_levels, dtype=np.int64)
+            unchanged = 0
+            dirty: np.ndarray | None = None
+            cold = not converged and stats is None
+            if cold:
+                stats = SkillStats(encoded, cfg.num_levels)
+            for index in range(blocks.num_blocks):
+                new, prior = blocks.advance(index)
+                level_hist += np.bincount(new, minlength=cfg.num_levels)
+                if cold:
+                    stats.add(blocks.rows(index), new)
+                if prior is None:
+                    continue
+                changed = new != prior
+                # Per-user "any level changed" via prefix sums — one pass
+                # over the block's paths instead of one compare per user.
+                bounds = blocks.offsets(index)
+                changed_cum = np.concatenate(([0], np.cumsum(changed)))
+                per_user = changed_cum[bounds[1:]] - changed_cum[bounds[:-1]]
+                unchanged += int(np.count_nonzero(per_user == 0))
+                moved = np.flatnonzero(changed)
+                if not converged and not cold and len(moved):
+                    touched = stats.update(
+                        blocks.rows(index)[moved], prior[moved], new[moved]
+                    )
+                    dirty = touched if dirty is None else np.union1d(dirty, touched)
+            stage_seconds["reduce"] = clock() - stage_start
+
+            if not converged:
+                stage_start = clock()
+                # With nothing moved the statistics — and hence every
+                # refit cell — are unchanged.
+                if cold or dirty is not None:
+                    parameters = SkillParameters.fit_from_stats(
+                        stats,
+                        smoothing=cfg.smoothing,
+                        cell_fitter=cell_fitter,
+                        previous=None if cold else parameters,
+                        dirty_levels=None if cold else dirty,
+                    )
+                refit_levels = cfg.num_levels if cold else 0 if dirty is None else len(dirty)
+                registry.gauge("train.cells_refit").set(refit_levels * num_features)
+                stage_seconds["cell_fit"] = clock() - stage_start
+                if checkpoint is not None and len(log_likelihoods) % checkpoint.every == 0:
+                    stage_start = clock()
+                    written = checkpointing.write_checkpoint(
+                        checkpoint.path,
+                        parameters=parameters,
+                        log_likelihoods=log_likelihoods,
+                        trainer_config=_config_payload(cfg),
+                        fingerprint=fingerprint or {},
+                        every=checkpoint.every,
+                    )
+                    checkpoint_seconds = clock() - stage_start
+                    stage_seconds["checkpoint"] = checkpoint_seconds
+                    builder.record_checkpoint(
+                        CheckpointEvent(
+                            iteration=len(log_likelihoods),
+                            path=str(written),
+                            num_bytes=written.stat().st_size,
+                            seconds=checkpoint_seconds,
+                        )
+                    )
+
+            stage_seconds["iteration"] = clock() - iteration_start
+            record = self._observe_iteration(
+                registry,
+                stage_seconds,
+                total_ll=total_ll,
+                improvement=improvement,
+                iteration_number=len(log_likelihoods),
+                unchanged=unchanged if prior is not None else None,
+                level_hist=level_hist,
+                previous_hist=previous_hist,
+            )
+            builder.record_iteration(record)
+            if tracer.enabled:
+                # Reconstructed from the stage clocks already taken — the
+                # hot loop pays no extra timing calls.  Stage start times
+                # are cumulative approximations; durations are the
+                # measured values.
+                iter_span_id = new_span_id()
+                tracer.record(
+                    "train.iteration",
+                    span=iter_span_id,
+                    ts=iteration_ts,
+                    duration=stage_seconds["iteration"],
+                    iteration=len(log_likelihoods),
+                    log_likelihood=total_ll,
+                )
+                offset = iteration_ts
+                for stage in TRAINER_STAGES[:-1]:  # all but "iteration"
+                    seconds = stage_seconds[stage]
+                    if seconds:
+                        tracer.record(
+                            f"train.{stage}",
+                            parent=iter_span_id,
+                            ts=offset,
+                            duration=seconds,
+                        )
+                        offset += seconds
+            if cfg.on_iteration is not None:
+                cfg.on_iteration(record)
+            previous_hist = level_hist
+            if converged:
+                break
+
+        if len(log_likelihoods) == first_iteration and materialize:
+            # Resumed with no iterations left to run (the checkpoint was
+            # written at max_iterations): materialize assignments from the
+            # checkpointed parameters without extending the trace.
+            blocks.estep(engine.score_table(parameters, encoded))
+            for index in range(blocks.num_blocks):
+                blocks.advance(index)
 
         telemetry = builder.build(
             log_likelihoods=tuple(log_likelihoods),
-            pool_events=pool_events,
+            pool_events=blocks.event_counts,
             converged=converged,
             total_seconds=clock() - fit_start,
             resources=sampler.sample(),
@@ -470,6 +521,7 @@ class Trainer:
                 "obs": {
                     "iterations": len(log_likelihoods),
                     "converged": converged,
+                    "blocks": blocks.num_blocks,
                     "log_likelihood": (
                         round(log_likelihoods[-1], 3) if log_likelihoods else None
                     ),
@@ -477,21 +529,25 @@ class Trainer:
                 }
             },
         )
-        level_arrays = (
-            np.split(flat_levels, bounds[:-1])
-            if flat_levels is not None and users
-            else []
-        )
-        assignments = {
-            user: (levels + 1).astype(np.int64)  # expose 1-based levels
-            for user, levels in zip(users, level_arrays)
-        }
-        times = {user: t for user, t in zip(users, user_times)}
         trace = TrainingTrace(
             log_likelihoods=tuple(log_likelihoods),
             converged=converged,
             num_iterations=len(log_likelihoods),
         )
+        if not materialize:
+            return ShardedFitResult(
+                parameters=parameters,
+                trace=trace,
+                telemetry=telemetry,
+                num_users=blocks.num_users,
+                num_actions=blocks.num_actions,
+                num_shards=blocks.num_blocks,
+            )
+        assignments: dict = {}
+        times: dict = {}
+        for user, levels, user_times in blocks.paths():
+            assignments[user] = (levels + 1).astype(np.int64)  # expose 1-based levels
+            times[user] = user_times
         return SkillModel(
             parameters=parameters,
             encoded=encoded,
@@ -509,30 +565,19 @@ class Trainer:
         total_ll: float,
         improvement: float | None,
         iteration_number: int,
-        changed: np.ndarray | None,
-        lengths: np.ndarray,
-        bounds: np.ndarray,
+        unchanged: int | None,
         level_hist: np.ndarray,
         previous_hist: np.ndarray | None,
     ) -> IterationRecord:
         """Publish one iteration's diagnostics to metrics + logs.
 
-        Assignment churn is summarized two ways: ``unchanged_users`` (how
-        many users' whole paths were identical to the previous iteration —
-        the converged-users count, from the per-action ``changed`` mask)
-        and ``level_drift`` (normalized L1 distance between consecutive
-        level histograms).
+        Assignment churn is summarized two ways: ``unchanged`` (how many
+        users' whole paths were identical to the previous iteration — the
+        converged-users count) and ``level_drift`` (normalized L1 distance
+        between consecutive level histograms).
         """
         for stage, seconds in stage_seconds.items():
             registry.histogram(f"train.{stage}_seconds").observe(seconds)
-        if changed is None:
-            unchanged = None
-        else:
-            # Per-user "any level changed" via prefix sums — one pass over
-            # the concatenated paths instead of one array compare per user.
-            changed_cum = np.concatenate(([0], np.cumsum(changed)))
-            per_user = changed_cum[bounds] - changed_cum[bounds - lengths]
-            unchanged = int(np.count_nonzero(per_user == 0))
         drift = (
             float(np.abs(level_hist - previous_hist).sum() / max(1, int(level_hist.sum())))
             if previous_hist is not None
@@ -570,45 +615,47 @@ class Trainer:
         )
         return record
 
-    def _initialize(
-        self,
-        encoded,
-        users: list,
-        user_rows: list[np.ndarray],
-        log: ActionLog,
-    ) -> SkillParameters:
+    def _initialize(self, encoded, blocks, cell_fitter) -> SkillParameters:
         """Fit the first parameter set from uniform-segment labels of the
-        long sequences (``U_{≥N}``)."""
+        long sequences (``U_{≥N}``), accumulated block by block.
+
+        Integer statistics make the per-block sum bit-identical to one
+        concatenate-then-fit over the same users.
+        """
         cfg = self.config
-        init_rows: list[np.ndarray] = []
-        init_levels: list[np.ndarray] = []
-        for user, rows in zip(users, user_rows):
-            if len(rows) >= cfg.init_min_actions:
-                init_rows.append(rows)
-                init_levels.append(uniform_segment_levels(len(rows), cfg.num_levels))
-        if not init_rows:
-            # Small-data fallback: no user reaches N actions, use everyone.
-            for rows in user_rows:
-                init_rows.append(rows)
-                init_levels.append(uniform_segment_levels(len(rows), cfg.num_levels))
-        return SkillParameters.fit_from_assignments(
-            encoded,
-            np.concatenate(init_rows),
-            np.concatenate(init_levels),
-            num_levels=cfg.num_levels,
-            smoothing=cfg.smoothing,
-            cell_fitter=make_cell_fitter(cfg.parallel),
+        # The second pass is the small-data fallback: no user reaches N
+        # actions, so everyone informs the first fit.
+        for min_actions in (cfg.init_min_actions, 0):
+            stats = SkillStats(encoded, cfg.num_levels)
+            any_user = False
+            for index in range(blocks.num_blocks):
+                bounds = blocks.offsets(index)
+                lengths = np.diff(bounds)
+                keep = np.flatnonzero(lengths >= min_actions)
+                if not len(keep):
+                    continue
+                rows = blocks.rows(index)
+                stats.add(
+                    np.concatenate([rows[bounds[k] : bounds[k + 1]] for k in keep]),
+                    np.concatenate(
+                        [uniform_segment_levels(int(lengths[k]), cfg.num_levels) for k in keep]
+                    ),
+                )
+                any_user = True
+            if any_user:
+                break
+        return SkillParameters.fit_from_stats(
+            stats, smoothing=cfg.smoothing, cell_fitter=cell_fitter
         )
 
 
 def _config_payload(config: TrainerConfig) -> dict:
     """The JSON-serializable TrainerConfig state stored in checkpoints.
 
-    ``parallel``, ``assignment_strategy``, and ``on_iteration`` are
-    deliberately excluded: all are runtime concerns (host topology,
-    kernel choice, progress reporting) that change wall-clock but never
-    results, and must not pin a resume to the crashed process's
-    environment.
+    ``parallel`` and ``on_iteration`` are deliberately excluded: both are
+    runtime concerns (host topology, progress reporting) that change
+    wall-clock but never results, and must not pin a resume to the
+    crashed process's environment.
     """
     return {
         "num_levels": config.num_levels,
@@ -627,7 +674,7 @@ def _config_payload(config: TrainerConfig) -> dict:
 
 
 def fit_skill_model(
-    log: ActionLog | "ActionStore",
+    log: ActionLog | ActionStore,
     catalog: ItemCatalog,
     feature_set: FeatureSet,
     num_levels: int,
@@ -637,21 +684,11 @@ def fit_skill_model(
     """One-call convenience wrapper around :class:`Trainer`.
 
     ``log`` may be an in-RAM :class:`~repro.data.actions.ActionLog` or an
-    out-of-core :class:`~repro.data.store.ActionStore` — store fits run
-    through the sharded map-reduce trainer (:mod:`repro.core.shard`) and
-    produce bit-identical models.  ``config_kwargs`` are forwarded to
+    out-of-core :class:`~repro.data.store.ActionStore`; both produce
+    bit-identical models.  ``config_kwargs`` are forwarded to
     :class:`TrainerConfig`.
     """
     config = TrainerConfig(num_levels=num_levels, **config_kwargs)
-    if isinstance(log, ActionStore):
-        if checkpoint is not None:
-            raise ConfigurationError(
-                "checkpointing is not supported for store-backed fits; "
-                "convert to an in-RAM log or drop the checkpoint config"
-            )
-        from repro.core.shard import ShardedTrainer
-
-        return ShardedTrainer(config).fit(log, catalog, feature_set)
     return Trainer(config).fit(log, catalog, feature_set, checkpoint=checkpoint)
 
 
@@ -704,18 +741,12 @@ def resume_fit(
         )
     if checkpoint is None:
         checkpoint = CheckpointConfig(path=path, every=state.every)
-
-    trainer = Trainer(config)
-    users = list(log.users)
-    user_rows = [encoded.rows_for_sequence(log.sequence(u)) for u in users]
-    user_times = [np.asarray(log.sequence(u).times, dtype=np.float64) for u in users]
-    return trainer._alternate(
+    return Trainer(config)._run(
+        log,
         encoded,
-        users,
-        user_rows,
-        user_times,
         state.parameters,
         list(state.log_likelihoods),
         checkpoint,
         fingerprint,
+        materialize=True,
     )

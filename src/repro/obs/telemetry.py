@@ -24,8 +24,9 @@ __all__ = [
     "TrainingTelemetry",
 ]
 
-#: The per-iteration stage keys the hard trainer reports (seconds).
-TRAINER_STAGES = ("table_build", "assign", "cell_fit", "checkpoint", "iteration")
+#: The per-iteration stage keys the hard trainer reports (seconds);
+#: ``iteration`` (the whole step) comes last.
+TRAINER_STAGES = ("table_build", "assign", "reduce", "cell_fit", "checkpoint", "iteration")
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,13 @@
-"""Tests for repro.core.engine: strategy selection, parity, table cache."""
+"""Tests for repro.core.engine: kernel routing, parity, table cache."""
 
 import numpy as np
 import pytest
 
 from repro.core.dp import best_monotone_path
-from repro.core.engine import _BATCH_MIN_USERS, AssignmentEngine
+from repro.core.engine import AssignmentEngine
 from repro.core.model import ScoreTableCache, SkillParameters
 from repro.core.parallel import ParallelConfig
-from repro.core.training import TrainerConfig, fit_skill_model
-from repro.exceptions import ConfigurationError
+from repro.core.training import fit_skill_model
 from repro.obs.metrics import MetricsRegistry, use_registry
 
 
@@ -25,58 +24,70 @@ def user_rows():
 
 
 class TestStrategySelection:
-    def test_rejects_unknown_strategy(self):
-        with pytest.raises(ConfigurationError):
-            AssignmentEngine(strategy="fastest")
+    def test_auto_large_batch_is_batched(self, score_table, user_rows, monkeypatch):
+        """Without user parallelism the engine runs the batched kernel."""
+        import repro.core.engine as engine_module
 
-    def test_trainer_config_rejects_unknown_strategy(self):
-        with pytest.raises(ConfigurationError):
-            TrainerConfig(num_levels=3, assignment_strategy="fastest")
+        calls = []
+        kernel = engine_module.batch_assign
 
-    def test_forced_strategy_is_used_verbatim(self):
-        for name in ("serial", "batched", "pooled"):
-            with AssignmentEngine(strategy=name) as engine:
-                assert engine.resolve_strategy(1) == name
-                assert engine.resolve_strategy(10_000) == name
+        def spy(*args, **kwargs):
+            calls.append(len(args[1]))
+            return kernel(*args, **kwargs)
 
-    def test_auto_small_batch_is_serial(self):
+        monkeypatch.setattr(engine_module, "batch_assign", spy)
         with AssignmentEngine() as engine:
-            assert engine.resolve_strategy(_BATCH_MIN_USERS - 1) == "serial"
-
-    def test_auto_large_batch_is_batched(self):
-        with AssignmentEngine() as engine:
-            assert engine.resolve_strategy(_BATCH_MIN_USERS) == "batched"
+            assert not engine.pooled
+            engine.assign(score_table, user_rows)
+        assert calls == [len(user_rows)]
 
     def test_auto_prefers_pool_when_enabled(self):
         with AssignmentEngine(ParallelConfig(users=True, workers=2)) as engine:
-            assert engine.resolve_strategy(100) == "pooled"
-            assert engine.resolve_strategy(1) == "serial"  # nothing to fan out
+            assert engine.pooled
+        with AssignmentEngine(ParallelConfig(users=True, workers=1)) as engine:
+            assert not engine.pooled  # nothing to fan out
 
-    def test_chosen_strategy_is_counted(self, score_table, user_rows):
+    def test_assign_is_timed(self, score_table, user_rows):
         registry = MetricsRegistry()
-        with use_registry(registry), AssignmentEngine(strategy="batched") as engine:
+        with use_registry(registry), AssignmentEngine() as engine:
             engine.assign(score_table, user_rows)
         snapshot = registry.snapshot()
-        assert snapshot["counters"]["engine.strategy.batched"] == 1
         assert snapshot["histograms"]["engine.assign_seconds"]["count"] == 1
 
 
 class TestStrategyParity:
-    @pytest.mark.parametrize("strategy", ["serial", "batched", "pooled"])
+    @pytest.mark.parametrize("strategy", ["batched", "pooled"])
     def test_matches_scalar_dp(self, strategy, score_table, user_rows):
         parallel = (
             ParallelConfig(users=True, workers=2) if strategy == "pooled" else None
         )
-        with AssignmentEngine(parallel, strategy=strategy) as engine:
+        with AssignmentEngine(parallel) as engine:
             results = engine.assign(score_table, user_rows)
-        for rows, got in zip(user_rows, results):
+            flat, lls = engine.assign_flat(score_table, user_rows)
+        np.testing.assert_array_equal(flat, np.concatenate([r.levels for r in results]))
+        for k, (rows, got) in enumerate(zip(user_rows, results)):
             expected = best_monotone_path(score_table[:, rows].T)
             np.testing.assert_array_equal(got.levels, expected.levels)
-            assert got.log_likelihood == expected.log_likelihood
+            assert got.log_likelihood == expected.log_likelihood == lls[k]
+
+    def test_small_batch_matches_scalar_dp(self, score_table, user_rows):
+        """Small batches take the batched kernel too; it must agree with the
+        scalar DP down to one user (and return nothing for none)."""
+        with AssignmentEngine() as engine:
+            for num_users in (0, 1, 2, 15):
+                batch = user_rows[:num_users]
+                results = engine.assign(score_table, batch)
+                flat, lls = engine.assign_flat(score_table, batch)
+                assert len(results) == len(lls) == num_users
+                assert len(flat) == sum(len(rows) for rows in batch)
+                for k, (rows, got) in enumerate(zip(batch, results)):
+                    expected = best_monotone_path(score_table[:, rows].T)
+                    np.testing.assert_array_equal(got.levels, expected.levels)
+                    assert got.log_likelihood == expected.log_likelihood == lls[k]
 
     def test_pooled_without_shared_memory_matches(self, score_table, user_rows):
         config = ParallelConfig(users=True, workers=2, shared_memory=False)
-        with AssignmentEngine(config, strategy="pooled") as engine:
+        with AssignmentEngine(config) as engine:
             results = engine.assign(score_table, user_rows)
         for rows, got in zip(user_rows, results):
             expected = best_monotone_path(score_table[:, rows].T)
@@ -85,9 +96,7 @@ class TestStrategyParity:
 
     def test_skip_level_configuration_flows_through(self, score_table, user_rows):
         penalties = np.array([0.0, np.log(0.6), np.log(0.4)])
-        with AssignmentEngine(
-            strategy="batched", max_step=2, step_log_penalties=penalties
-        ) as engine:
+        with AssignmentEngine(max_step=2, step_log_penalties=penalties) as engine:
             results = engine.assign(score_table, user_rows)
         for rows, got in zip(user_rows, results):
             expected = best_monotone_path(
@@ -170,27 +179,6 @@ class TestScoreTableCache:
 
 
 class TestTrainerIntegration:
-    @pytest.mark.parametrize("strategy", ["serial", "batched"])
-    def test_forced_strategies_reproduce_auto_fit(
-        self, strategy, tiny_log, tiny_catalog, tiny_feature_set
-    ):
-        auto = fit_skill_model(
-            tiny_log, tiny_catalog, tiny_feature_set, 3, init_min_actions=5
-        )
-        forced = fit_skill_model(
-            tiny_log,
-            tiny_catalog,
-            tiny_feature_set,
-            3,
-            init_min_actions=5,
-            assignment_strategy=strategy,
-        )
-        assert forced.trace.log_likelihoods == auto.trace.log_likelihoods
-        for user in tiny_log.users:
-            np.testing.assert_array_equal(
-                forced.skill_trajectory(user), auto.skill_trajectory(user)
-            )
-
     def test_fit_reports_cache_hits_after_first_iteration(
         self, tiny_log, tiny_catalog, tiny_feature_set
     ):

@@ -18,7 +18,6 @@ from repro.core import checkpoint as checkpointing
 from repro.core import parallel as parallel_mod
 from repro.core import serialize
 from repro.core.checkpoint import CheckpointConfig, read_checkpoint
-from repro.core.dp import PathResult
 from repro.core.engine import AssignmentEngine
 from repro.core.parallel import ParallelConfig, PoolAssigner, WorkerPoolWarning
 from repro.core.serialize import load_model, save_model
@@ -527,16 +526,14 @@ class TestStrictConvergence:
         and the checkpoint written just before the failure still loads."""
         lls = iter([0.0, -1000.0])
 
-        def fake_assign(self, table, user_rows):
+        def fake_assign_flat(self, table, user_rows):
             ll = next(lls) / max(1, len(user_rows))
-            return [
-                PathResult(
-                    levels=uniform_segment_levels(len(rows), 3), log_likelihood=ll
-                )
-                for rows in user_rows
-            ]
+            levels = np.concatenate(
+                [uniform_segment_levels(len(rows), 3) for rows in user_rows]
+            )
+            return levels, np.full(len(user_rows), ll)
 
-        monkeypatch.setattr(AssignmentEngine, "assign", fake_assign)
+        monkeypatch.setattr(AssignmentEngine, "assign_flat", fake_assign_flat)
         ckpt = tmp_path / "strict.ckpt.json"
         trainer = Trainer(
             TrainerConfig(

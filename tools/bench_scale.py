@@ -5,9 +5,9 @@ Two questions, answered with one grid (users × workers):
 
 - **Does it scale?**  Each point generates a synthetic corpus straight
   into a columnar store (``repro.synth.generate_synthetic_store``; the
-  corpus never exists in RAM), then runs the sharded map-reduce trainer
-  (``repro.core.shard.ShardedTrainer``) over it for a fixed number of
-  iterations, reporting wall time, E-step throughput (events/s = actions
+  corpus never exists in RAM), then fits it one shard at a time
+  (``repro.core.training.Trainer`` over the ``ActionStore``) for a fixed
+  number of iterations, reporting wall time, E-step throughput (events/s = actions
   × iterations / fit seconds), and **peak RSS**.  The headline point is
   1M users / ~100M actions: peak RSS must stay far below the corpus
   size, because shards are loaded one at a time and reduced to integer
@@ -72,8 +72,7 @@ TINY_POINTS = [
 
 def _run_point(spec: dict) -> int:
     """Worker mode: one grid point in a fresh process, JSON on stdout."""
-    from repro.core.shard import ShardedTrainer
-    from repro.core.training import TrainerConfig
+    from repro.core.training import Trainer, TrainerConfig
     from repro.obs.resource import peak_rss_bytes
     from repro.synth import SyntheticConfig, generate_synthetic_store
 
@@ -107,7 +106,7 @@ def _run_point(spec: dict) -> int:
             parallel=ParallelConfig(users=True, workers=spec["workers"]),
         )
     t1 = time.perf_counter()
-    result = ShardedTrainer(trainer_config).fit(
+    result = Trainer(trainer_config).fit(
         store, generated.catalog, generated.feature_set, materialize=False
     )
     fit_seconds = time.perf_counter() - t1
@@ -155,7 +154,6 @@ def _launch_point(spec: dict) -> dict:
 def _parity_block(tmp_dir: Path) -> dict:
     """Small-corpus exactness check: in-RAM == sharded serial == pooled."""
     from repro.core.parallel import ParallelConfig
-    from repro.core.shard import ShardedTrainer
     from repro.core.training import Trainer, TrainerConfig
     from repro.data.store import ActionStore
     from repro.synth import SyntheticConfig, generate_synthetic
@@ -173,10 +171,10 @@ def _parity_block(tmp_dir: Path) -> dict:
     ram = Trainer(TrainerConfig(**kwargs)).fit(
         dataset.log, dataset.catalog, dataset.feature_set
     )
-    serial = ShardedTrainer(TrainerConfig(**kwargs)).fit(
+    serial = Trainer(TrainerConfig(**kwargs)).fit(
         store, dataset.catalog, dataset.feature_set
     )
-    pooled = ShardedTrainer(
+    pooled = Trainer(
         TrainerConfig(
             **kwargs, parallel=ParallelConfig(users=True, workers=2)
         )
