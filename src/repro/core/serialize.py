@@ -29,6 +29,7 @@ import io
 import json
 import os
 import struct
+import threading
 from collections.abc import Callable, Mapping
 from pathlib import Path
 
@@ -63,6 +64,14 @@ _FORMAT_VERSION = 1
 #: never asks for them — so the payload is versioned-by-presence and
 #: fully backward/forward compatible.
 _SIMILARITY_PREFIX = "simidx_"
+
+#: Serializes NPZ decoding across threads.  ``np.load`` parses each
+#: member's header with ``ast.literal_eval``, and CPython 3.11 keeps the
+#: AST builder's recursion counter per interpreter, not per thread: two
+#: threads decoding at once (a hot-swap build beside an on-loop load, or
+#: a fold-in beside a reload) can fail with ``SystemError: AST
+#: constructor recursion depth mismatch``.
+_NPZ_DECODE_LOCK = threading.Lock()
 
 _DIST_TAGS = {Categorical: "categorical", Poisson: "poisson", Gamma: "gamma", LogNormal: "lognormal"}
 
@@ -438,15 +447,16 @@ def load_model(path_prefix: str | Path) -> SkillModel:
                 f"got {actual[:12]}…) — the model pair is torn or corrupted; "
                 f"re-save the model or restore both files from the same write"
             )
-    try:
-        npz = np.load(io.BytesIO(npz_bytes))
-    except Exception as exc:  # zipfile.BadZipFile, ValueError, OSError
-        raise DataError(
-            f"{npz_path}: truncated or corrupted model archive ({exc})"
-        ) from exc
+    with _NPZ_DECODE_LOCK:
+        try:
+            npz = np.load(io.BytesIO(npz_bytes))
+        except Exception as exc:  # zipfile.BadZipFile, ValueError, OSError
+            raise DataError(
+                f"{npz_path}: truncated or corrupted model archive ({exc})"
+            ) from exc
 
-    with npz as arrays:
-        model = _restore_model(structure, arrays.__getitem__, source=str(npz_path))
+        with npz as arrays:
+            model = _restore_model(structure, arrays.__getitem__, source=str(npz_path))
     users = structure["users"]
     elapsed = registry.clock() - start
     registry.histogram("model.load_seconds").observe(elapsed)
@@ -495,21 +505,22 @@ def load_similarity_payload(path_prefix: str | Path) -> dict | None:
                 f"{npz_path}: checksum mismatch — the model pair is torn or "
                 f"corrupted; refusing to load its similarity index"
             )
-    try:
-        npz = np.load(io.BytesIO(npz_bytes))
-    except Exception as exc:  # zipfile.BadZipFile, ValueError, OSError
-        raise DataError(
-            f"{npz_path}: truncated or corrupted model archive ({exc})"
-        ) from exc
-    with npz as arrays:
+    with _NPZ_DECODE_LOCK:
         try:
-            neighbors = np.array(arrays[f"{_SIMILARITY_PREFIX}neighbors"])
-            scores = np.array(arrays[f"{_SIMILARITY_PREFIX}scores"])
-        except KeyError as exc:
+            npz = np.load(io.BytesIO(npz_bytes))
+        except Exception as exc:  # zipfile.BadZipFile, ValueError, OSError
             raise DataError(
-                f"{npz_path}: structure promises a similarity index but the "
-                f"archive lacks {exc.args[0]}"
-            ) from None
+                f"{npz_path}: truncated or corrupted model archive ({exc})"
+            ) from exc
+        with npz as arrays:
+            try:
+                neighbors = np.array(arrays[f"{_SIMILARITY_PREFIX}neighbors"])
+                scores = np.array(arrays[f"{_SIMILARITY_PREFIX}scores"])
+            except KeyError as exc:
+                raise DataError(
+                    f"{npz_path}: structure promises a similarity index but the "
+                    f"archive lacks {exc.args[0]}"
+                ) from None
     return {"neighbors": neighbors, "scores": scores, "meta": dict(meta)}
 
 

@@ -1,7 +1,11 @@
 """Tests for repro.core.serialize (model persistence)."""
 
+import gc
 import hashlib
 import json
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -219,3 +223,54 @@ class TestCrashSafety:
         save_model(loaded, tmp_path / "model")
         again = load_model(tmp_path / "model")
         assert again.log_likelihood == pytest.approx(fitted_tiny_model.log_likelihood)
+
+
+class _FinalizedCycle:
+    """Cyclic garbage whose finalizer runs Python code: a collection
+    inside a C-level AST build then hands the GIL to another thread."""
+
+    def __init__(self):
+        self.me = self
+
+    def __del__(self):
+        sum(range(50))
+
+
+class TestConcurrentLoads:
+    def test_threads_loading_at_once_never_raise(self, fitted_tiny_model, tmp_path):
+        """Regression: NPZ headers are parsed with ``ast.literal_eval``,
+        whose recursion bookkeeping CPython 3.11 shares across threads;
+        unserialized concurrent loads raised ``SystemError`` here within
+        a second."""
+        prefix = tmp_path / "model"
+        save_model(fitted_tiny_model, prefix)
+        errors: list[BaseException] = []
+        loads = [0]
+        deadline = time.monotonic() + 2.0
+
+        def loader():
+            while time.monotonic() < deadline:
+                try:
+                    serialize.load_model(prefix)
+                    serialize.load_similarity_payload(prefix)
+                    loads[0] += 1
+                except BaseException as exc:  # noqa: BLE001 - collected for the assert
+                    errors.append(exc)
+                for _ in range(20):
+                    _FinalizedCycle()
+
+        interval, thresholds = sys.getswitchinterval(), gc.get_threshold()
+        sys.setswitchinterval(1e-5)
+        gc.set_threshold(50, 2, 2)
+        try:
+            threads = [threading.Thread(target=loader) for _ in range(3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+            gc.set_threshold(*thresholds)
+            gc.collect()
+        assert errors == []
+        assert loads[0] > 0
